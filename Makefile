@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check bench bench-speed timing bench-gate chaos-smoke serve-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
+.PHONY: build test check fmt-check bench bench-speed timing bench-gate repro-check chaos-smoke serve-smoke serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
 
 build:
 	$(GO) build ./...
@@ -24,13 +24,14 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/lsu ./internal/pipeline
 
 # bench-speed is the simulator-throughput check: the core hot-path
-# microbenchmarks with allocation reporting (the scheduler pop path, the
+# microbenchmarks with allocation reporting (the per-cycle step, the
 # observability hooks, the bitvec disambiguation kernels, and whole-pipeline
 # cycles/sec), then a fresh timing report (BENCH_harness.json) carrying
 # informational cycles_per_sec deltas against the previous run. Wall-clock
 # numbers are machine-relative: eyeball them, gate on `make bench-gate`.
+# The zero-allocation step is asserted by TestStepAllocs in `make test`.
 bench-speed: build
-	$(GO) test -run '^$$' -bench 'QuietTarget|AdvanceQuiet|ObserveCycle|Pipeline' -benchmem ./internal/pipeline
+	$(GO) test -run '^$$' -bench 'StepCheckpointOff|ObserveCycle|Pipeline' -benchmem ./internal/pipeline
 	$(GO) test -run '^$$' -bench 'Mask128' -benchmem ./internal/bitvec
 	$(GO) run ./cmd/srvbench -timing BENCH_harness.json
 
@@ -48,6 +49,21 @@ bench-gate: build
 	$(GO) run ./cmd/srvbench -timing .bench-fresh.json $(GATE_FLAGS)
 	$(GO) run ./cmd/benchgate BENCH_baseline.json .bench-fresh.json; \
 	code=$$?; rm -f .bench-fresh.json; exit $$code
+
+# repro-check is the reproduction oracle: the whole srvbench evaluation at
+# seed 7 must print output byte-identical to results_reference.txt. Any
+# byte of difference fails, with the diff shown.
+repro-check: build
+	$(GO) build -o .repro-check.bin ./cmd/srvbench
+	./.repro-check.bin -seed 7 -parallel 2 > .repro-check.out; \
+	code=$$?; \
+	if [ $$code -ne 0 ]; then echo "repro-check: srvbench exit $$code"; rm -f .repro-check.bin .repro-check.out; exit 1; fi; \
+	if ! cmp -s .repro-check.out results_reference.txt; then \
+		diff results_reference.txt .repro-check.out | head -40; \
+		echo "repro-check: output differs from results_reference.txt"; \
+		rm -f .repro-check.bin .repro-check.out; exit 1; fi; \
+	rm -f .repro-check.bin .repro-check.out; \
+	echo "repro-check: ok (byte-identical to results_reference.txt)"
 
 # chaos-smoke is the resilience drill: fault-inject 20% of simulations on a
 # single figure and require the run to complete with contained failures

@@ -42,22 +42,6 @@ func main() {
 			"benchgate: warning: baseline %s has schema_version %d (current %d); consider refreshing it\n",
 			flag.Arg(0), base.SchemaVersion, harness.SchemaVersion)
 	}
-	// Simulated cycles are scheduler-independent (the equivalence suite holds
-	// the cores bit-identical), so the gate itself is unaffected — but a
-	// core mismatch makes the wall-clock context columns meaningless, and
-	// usually means one of the reports was generated with a non-default
-	// -tick-core invocation.
-	if base.RefTickCore != fresh.RefTickCore {
-		coreName := func(tick bool) string {
-			if tick {
-				return "reference tick core"
-			}
-			return "event-driven core"
-		}
-		fmt.Fprintf(os.Stderr,
-			"benchgate: warning: baseline %s was produced on the %s but fresh %s on the %s; wall-clock comparisons are not meaningful\n",
-			flag.Arg(0), coreName(base.RefTickCore), flag.Arg(1), coreName(fresh.RefTickCore))
-	}
 	g := harness.Gate(base, fresh, *threshold)
 	fmt.Print(g)
 	if !g.Pass {

@@ -40,9 +40,8 @@ type checkpointKey struct{}
 
 // WithCheckpoints derives a context whose loop simulations emit a machine
 // checkpoint through sink roughly every `every` cycles (at the pipeline's
-// cancellation-poll boundaries, so emission cycles are scheduler-
-// independent). sink may be called concurrently from the scalar and SRV
-// variant goroutines. Checkpointing is execution-side: it does not change
+// cancellation-poll boundaries). sink may be called concurrently from the
+// scalar and SRV variant goroutines. Checkpointing is execution-side: it does not change
 // the request's cache key, and the emitted Result is bit-identical to an
 // un-checkpointed run.
 func WithCheckpoints(ctx context.Context, every int64, sink func(RunCheckpoint)) context.Context {

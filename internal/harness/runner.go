@@ -83,9 +83,6 @@ func warm(p *pipeline.Pipeline, l *compiler.Loop) {
 // simContext.)
 func prepare(p *pipeline.Pipeline, l *compiler.Loop, diag bool) {
 	warm(p, l)
-	if RefTickCore() {
-		p.UseReferenceTickCore()
-	}
 	if diag {
 		p.EnableParanoid()
 		p.EnableTimeline()

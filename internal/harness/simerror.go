@@ -199,7 +199,6 @@ func AsSimError(err error) *SimError {
 var (
 	failFast    atomic.Bool
 	simTimeout  atomic.Int64 // nanoseconds; 0 = no wall-clock bound
-	refTick     atomic.Bool
 	crashDirMu  sync.Mutex
 	crashDirVal string
 )
@@ -211,16 +210,6 @@ func SetFailFast(on bool) { failFast.Store(on) }
 
 // FailFast reports whether fail-fast mode is on.
 func FailFast() bool { return failFast.Load() }
-
-// SetRefTickCore runs every loop simulation on the per-cycle reference tick
-// core instead of the default event-driven scheduler. The two are held
-// bit-identical by the equivalence suite, but wall-clock throughput differs
-// wildly, so timing reports record the setting (TimingReport.RefTickCore)
-// and benchgate warns when a baseline and a fresh run disagree on it.
-func SetRefTickCore(on bool) { refTick.Store(on) }
-
-// RefTickCore reports whether simulations run on the reference tick core.
-func RefTickCore() bool { return refTick.Load() }
 
 // SetSimTimeout bounds each simulation's wall-clock time via the pipeline's
 // cooperative cancellation hook. 0 disables the bound (the default).

@@ -43,21 +43,16 @@ type BenchTiming struct {
 // TimingReport is the full -timing artifact (BENCH_harness.json when invoked
 // per the Makefile): per-benchmark rows plus fleet-level throughput metrics.
 type TimingReport struct {
-	SchemaVersion int    `json:"schema_version"`
-	CodeVersion   string `json:"code_version"`
-	Seed          int64  `json:"seed"`
-	Workers       int    `json:"workers"`
-	NumCPU        int    `json:"num_cpu"`
-	GoMaxProcs    int    `json:"gomaxprocs"`
-	GoVersion     string `json:"go_version"`
-	// RefTickCore records whether the run used the per-cycle reference tick
-	// core (SetRefTickCore) instead of the event-driven scheduler. Simulated
-	// cycles are identical either way, but wall-clock throughput is not, so
-	// benchgate warns when a baseline and a fresh report disagree on it.
-	RefTickCore bool          `json:"ref_tick_core,omitempty"`
-	TotalWallMS float64       `json:"total_wall_ms"`
-	Fleet       FleetSnapshot `json:"fleet"`
-	Benchmarks  []BenchTiming `json:"benchmarks"`
+	SchemaVersion int           `json:"schema_version"`
+	CodeVersion   string        `json:"code_version"`
+	Seed          int64         `json:"seed"`
+	Workers       int           `json:"workers"`
+	NumCPU        int           `json:"num_cpu"`
+	GoMaxProcs    int           `json:"gomaxprocs"`
+	GoVersion     string        `json:"go_version"`
+	TotalWallMS   float64       `json:"total_wall_ms"`
+	Fleet         FleetSnapshot `json:"fleet"`
+	Benchmarks    []BenchTiming `json:"benchmarks"`
 }
 
 // WriteTimings wall-clocks RunBenchmark for every workload (or the named
@@ -87,7 +82,6 @@ func WriteTimings(path string, seed int64, benches []string) error {
 		NumCPU:        runtime.NumCPU(),
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		GoVersion:     runtime.Version(),
-		RefTickCore:   RefTickCore(),
 	}
 	// The previous report at the same path (if readable) supplies the
 	// informational cycles_per_sec deltas. Errors are deliberately ignored:

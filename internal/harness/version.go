@@ -14,4 +14,4 @@ const SchemaVersion = 1
 // simulation results (pipeline timing, compiler codegen, workload shapes,
 // default configuration) — documentation or harness-plumbing changes do not
 // require a bump.
-const CodeVersion = "srvsim-0.5.0"
+const CodeVersion = "srvsim-0.6.0"

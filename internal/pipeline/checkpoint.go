@@ -15,8 +15,7 @@ import (
 // Checkpoint/restore of the full machine state (ISSUE 7). A Checkpoint is a
 // versioned, JSON-serialisable capture of everything a Pipeline has
 // accumulated mid-run — architectural state, the ROB/rename/active windows,
-// the fetch deque (packed and compressed: see FetchQState — it can run
-// millions of slots deep), the SRV controller, the LSU, both predictors, the cache
+// the fetch queue, the SRV controller, the LSU, both predictors, the cache
 // hierarchy, the memory image, and the observability cursors — sufficient
 // to rebuild a pipeline that continues bit-identically: Stats, DumpStats,
 // sampler rows and trace bytes all match an uninterrupted run.
@@ -31,14 +30,22 @@ import (
 // recycled pointer the original run carried.
 //
 // Derived state is rebuilt, not captured: the instruction pointer comes
-// from the program at the captured PC, the issue scan's fullMask cache and
-// stepQuiet are recomputed every step, and the lazily-built metrics
-// registry re-registers against the restored counters on next use.
+// from the program at the captured PC, the issue scan's fullMask cache is
+// recomputed every step, and the lazily-built metrics registry
+// re-registers against the restored counters on next use.
 
 // CheckpointSchemaVersion is the schema version of Checkpoint. Bump on any
 // incompatible change to the serialised form; Restore rejects mismatches so
 // a stale journal cannot silently resurrect wrong state.
-const CheckpointSchemaVersion = 1
+const CheckpointSchemaVersion = 2
+
+// FetchSlotState is one captured fetch-queue slot.
+type FetchSlotState struct {
+	PC         int   `json:"pc"`
+	ReadyAt    int64 `json:"readyAt"`
+	PredTaken  bool  `json:"predTaken,omitempty"`
+	PredTarget int   `json:"predTarget,omitempty"`
+}
 
 // SrcState is one captured operand link (robEntry.src).
 type SrcState struct {
@@ -103,9 +110,12 @@ type Checkpoint struct {
 	NextSeq      int64              `json:"nextSeq"`
 	CommittedSeq int64              `json:"committedSeq"`
 
-	FetchPC      int         `json:"fetchPC"`
-	FetchStalled bool        `json:"fetchStalled"`
-	FetchQ       FetchQState `json:"fetchq"`
+	FetchPC      int  `json:"fetchPC"`
+	FetchStalled bool `json:"fetchStalled"`
+	// FetchSlots lists the fetch queue oldest-first. Its key is not v1's
+	// "fetchq" (a packed object), so a v1 checkpoint still decodes and is
+	// refused by its version instead of failing to parse as a journal line.
+	FetchSlots []FetchSlotState `json:"fetchSlots,omitempty"`
 
 	DispRegionCounter int   `json:"dispRegionCounter"`
 	DispInRegion      bool  `json:"dispInRegion"`
@@ -270,7 +280,13 @@ func (p *Pipeline) checkpoint(lastProgress int64) *Checkpoint {
 		}
 	}
 
-	cp.FetchQ = p.fetchq.state()
+	if n := p.fetchq.len(); n > 0 {
+		cp.FetchSlots = make([]FetchSlotState, n)
+		for i := range cp.FetchSlots {
+			s := p.fetchq.at(i)
+			cp.FetchSlots[i] = FetchSlotState{PC: s.pc, ReadyAt: s.readyAt, PredTaken: s.predTaken, PredTarget: s.predTarget}
+		}
+	}
 
 	if p.FaultAddrs != nil {
 		cp.FaultAddrs = make([]uint64, 0, len(p.FaultAddrs))
@@ -467,8 +483,16 @@ func (p *Pipeline) Restore(cp *Checkpoint) error {
 		p.rename[i] = e
 	}
 
-	if err := p.fetchq.setState(cp.FetchQ, p.Prog.Len()); err != nil {
-		return err
+	if len(cp.FetchSlots) > fetchQueueSize {
+		return fmt.Errorf("pipeline: checkpoint fetch queue holds %d slots, the queue has %d",
+			len(cp.FetchSlots), fetchQueueSize)
+	}
+	p.fetchq.clear()
+	for i, s := range cp.FetchSlots {
+		if s.PC < 0 || s.PC >= p.Prog.Len() {
+			return fmt.Errorf("pipeline: checkpoint fetch slot %d pc %d out of range", i, s.PC)
+		}
+		p.fetchq.push(fetchSlot{pc: s.PC, readyAt: s.ReadyAt, predTaken: s.PredTaken, predTarget: s.PredTarget})
 	}
 
 	// Observability: timeline, histogram, tracer and sampler contents.

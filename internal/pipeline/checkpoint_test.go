@@ -13,15 +13,13 @@ import (
 	"srvsim/internal/mem"
 )
 
-// Checkpoint/restore equivalence suite. Every scenario of the cross-core
-// matrix (equiv_test.go) runs three ways: uninterrupted, with periodic
+// Checkpoint/restore equivalence suite. Every scenario of the digest suite
+// (equiv_test.go) runs three ways: uninterrupted, with periodic
 // checkpointing enabled, and restored-from-checkpoint at several capture
 // points — and all of them must produce bit-identical digests (Stats,
 // DumpStats, architectural state, sampler rows, trace bytes) and memory
-// images. Checkpoints cross the JSON boundary before every restore, and
-// restores alternate between the event-driven and reference tick cores, so
-// the suite also proves serialisation fidelity and that emission cycles are
-// core-independent.
+// images. Checkpoints cross the JSON boundary before every restore, so the
+// suite also proves serialisation fidelity.
 
 // collectCheckpoints runs p with periodic checkpointing enabled and returns
 // the digest plus the captured checkpoints (capped; long runs keep the first
@@ -73,20 +71,15 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			}
 
 			// Restore at up to three capture points: first, middle, last.
-			// Alternate the restored core so event-captured state continues
-			// on the tick core and vice versa.
 			points := []int{0, len(cps) / 2, len(cps) - 1}
 			seen := map[int]bool{}
-			for i, pi := range points {
+			for _, pi := range points {
 				if seen[pi] {
 					continue
 				}
 				seen[pi] = true
 				cp := jsonRoundTrip(t, cps[pi])
 				p2, im2 := sc.build()
-				if i%2 == 1 {
-					p2.UseReferenceTickCore()
-				}
 				if err := p2.Restore(cp); err != nil {
 					t.Fatalf("restore at cycle %d: %v", cp.Cycle, err)
 				}
@@ -196,9 +189,27 @@ func TestRestoreValidation(t *testing.T) {
 	}
 
 	bad = *cp
+	bad.SchemaVersion = 1 // the packed unbounded fetch queue
+	if err := p.Restore(&bad); err == nil || !strings.Contains(err.Error(), "schema v1") {
+		t.Errorf("v1 checkpoint not rejected: %v", err)
+	}
+
+	bad = *cp
 	bad.ProgLen = cp.ProgLen + 1
 	if err := p.Restore(&bad); err == nil || !strings.Contains(err.Error(), "program") {
 		t.Errorf("program-length mismatch not rejected: %v", err)
+	}
+
+	bad = *cp
+	bad.FetchSlots = make([]FetchSlotState, fetchQueueSize+1)
+	if err := p.Restore(&bad); err == nil || !strings.Contains(err.Error(), "fetch queue holds") {
+		t.Errorf("oversized fetch queue not rejected: %v", err)
+	}
+
+	bad = *cp
+	bad.FetchSlots = []FetchSlotState{{PC: 0}, {PC: cp.ProgLen}}
+	if err := p.Restore(&bad); err == nil || !strings.Contains(err.Error(), "fetch slot 1 pc") {
+		t.Errorf("out-of-program fetch slot not rejected: %v", err)
 	}
 }
 
@@ -234,101 +245,5 @@ func TestSnapshotElision(t *testing.T) {
 	}
 	if snap := p2.Snapshot(); strings.Contains(snap, "elided") {
 		t.Errorf("snapshot at exactly %d entries claims elision:\n%s", snapshotROBEntries, snap)
-	}
-}
-
-// BenchmarkStepCheckpointOff guards the default-path contract: with no sink
-// installed and CheckpointEvery zero, the per-cycle step stays allocation-
-// free — checkpointing support costs one predictable branch at the poll
-// boundary and nothing else.
-func BenchmarkStepCheckpointOff(b *testing.B) {
-	prog := isa.NewBuilder().MovI(0, 0).Halt().MustBuild()
-	p := New(testConfig(), prog, mem.NewImage())
-	p.cycle = 1000
-	p.fetchStalled = true
-	e := p.allocEntry()
-	e.seq = 1
-	e.pc = 0
-	e.inst = prog.At(0)
-	e.state = sIssued
-	e.granted = true
-	e.doneAt = 1 << 60 // never completes: every step is pure bookkeeping
-	p.pushROB(e)
-	p.active = append(p.active, e)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.step()
-	}
-	benchSink = p.cycle
-}
-
-// TestFetchQStateRoundTrip drives the packed fetch-queue codec directly: a
-// deep, loop-shaped queue (the case the encoding exists for) survives a
-// state/setState round trip slot for slot, and a corrupt or truncated packed
-// stream is rejected instead of restoring garbage.
-func TestFetchQStateRoundTrip(t *testing.T) {
-	var q fetchQueue
-	const loopLen, depth = 7, 3 * fetchChunkSize
-	for i := 0; i < depth; i++ {
-		pc := i % loopLen
-		q.push(fetchSlot{pc: pc, readyAt: int64(40 + i/4),
-			predTaken: pc == loopLen-1, predTarget: 0})
-	}
-	st := q.state()
-	if st.N != depth {
-		t.Fatalf("state.N = %d, want %d", st.N, depth)
-	}
-	if len(st.Packed) == 0 || len(st.Packed) > depth {
-		t.Fatalf("packed %d slots into %d bytes, want a compressed stream well under 1 byte/slot", depth, len(st.Packed))
-	}
-
-	var r fetchQueue
-	if err := r.setState(st, loopLen); err != nil {
-		t.Fatal(err)
-	}
-	if r.len() != depth {
-		t.Fatalf("restored %d slots, want %d", r.len(), depth)
-	}
-	var got []fetchSlot
-	r.each(func(s *fetchSlot) { got = append(got, *s) })
-	i := 0
-	q.each(func(s *fetchSlot) {
-		if got[i] != *s {
-			t.Fatalf("slot %d = %+v, want %+v", i, got[i], *s)
-		}
-		i++
-	})
-
-	// Empty queue round-trips to an empty state.
-	var e fetchQueue
-	est := e.state()
-	if est.N != 0 || est.Packed != nil {
-		t.Fatalf("empty queue state = %+v", est)
-	}
-	if err := r.setState(est, loopLen); err != nil {
-		t.Fatal(err)
-	}
-	if r.len() != 0 {
-		t.Fatalf("restore of empty state left %d slots", r.len())
-	}
-
-	// A pc outside the program must be rejected (the packed form is opaque
-	// on the wire).
-	var bad fetchQueue
-	if err := bad.setState(st, loopLen-1); err == nil {
-		t.Fatal("out-of-range pc restored without error")
-	}
-	// Truncated compressed stream.
-	trunc := st
-	trunc.Packed = st.Packed[:len(st.Packed)/2]
-	if err := bad.setState(trunc, loopLen); err == nil {
-		t.Fatal("truncated packed stream restored without error")
-	}
-	// Slot count larger than the stream carries.
-	short := st
-	short.N = depth + 1
-	if err := bad.setState(short, loopLen); err == nil {
-		t.Fatal("oversized slot count restored without error")
 	}
 }

@@ -44,10 +44,9 @@ type Config struct {
 	// CheckpointEvery, when positive, emits a full machine checkpoint
 	// (Pipeline.Checkpoint) through the installed sink roughly every this
 	// many cycles. Emission happens only at the cancellation-poll boundaries
-	// both schedulers visit (every cancelCheckMask+1 cycles), so the emitted
-	// cycles are identical on the event-driven and reference tick cores. 0
-	// (the default) disables periodic checkpointing; the run path then pays a
-	// single predictable branch per poll.
+	// (every cancelCheckMask+1 cycles). 0 (the default) disables periodic
+	// checkpointing; the run path then pays a single predictable branch per
+	// poll.
 	CheckpointEvery int64
 
 	// WatchdogCycles is the forward-progress window: if no instruction

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
+	"flag"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -15,16 +17,12 @@ import (
 	"srvsim/internal/workloads"
 )
 
-// Cross-core equivalence suite: the event-driven scheduler must be
-// bit-identical to the reference tick core — same Stats, same controller
-// and LSU counters, same DumpStats rendering, same architectural state,
-// same memory image, same sampler rows and trace events, across the whole
+// Scenario digest suite: every observable of a run — Stats, controller
+// counters, the DumpStats rendering, architectural state, memory image,
+// sampler rows and trace events — is pinned per scenario across the whole
 // workload sweep plus interrupt / fault / wedge / budget / ablation
-// variants and randomised fuzz loops.
-//
-// The same scenario list doubles as a golden-digest tool: setting
-// SRVSIM_EQUIV_GOLDEN=<path> writes one digest per scenario to that file,
-// so a pre-refactor capture can be diffed against a post-refactor one.
+// variants and randomised fuzz loops. The checkpoint suite
+// (checkpoint_test.go) reuses the scenario list.
 
 type equivScenario struct {
 	name  string
@@ -56,7 +54,7 @@ func modeName(m compiler.Mode) string {
 	}
 }
 
-// equivScenarios enumerates every behaviour the two cores must agree on.
+// equivScenarios enumerates the pinned behaviours.
 func equivScenarios() []equivScenario {
 	var scns []equivScenario
 	add := func(name string, build func() (*Pipeline, *mem.Image)) {
@@ -92,7 +90,7 @@ func equivScenarios() []equivScenario {
 	}
 
 	// 3. Observability attached: the sampler boundary and trace-counter
-	// cadence must survive cycle skipping exactly.
+	// cadence.
 	for _, every := range []int64{1, 7, 64} {
 		every := every
 		add(fmt.Sprintf("sample/%d", every), func() (*Pipeline, *mem.Image) {
@@ -122,8 +120,8 @@ func equivScenarios() []equivScenario {
 		return p, im
 	})
 
-	// 4. Abnormal exits: the cycle-budget and watchdog paths must fire at
-	// the same cycle with the same snapshot under both cores.
+	// 4. Abnormal exits: the cycle-budget and watchdog paths, with their
+	// error cycle and machine snapshot.
 	add("budget", func() (*Pipeline, *mem.Image) {
 		cfg, c, im := buildWorkload("is", 0, compiler.ModeSRV)
 		cfg.MaxCycles = 2500
@@ -292,49 +290,90 @@ func runDigest(p *Pipeline, err error) string {
 	return b.String()
 }
 
-// configureCore selects the scheduler under test. The reference tick core
-// never skips a cycle; the event core may only jump across provably quiet
-// stretches.
-func configureCore(p *Pipeline, tick bool) {
-	if tick {
-		p.UseReferenceTickCore()
+// digestsGolden pins every scenario of equivScenarios. Each line holds the
+// scenario name, its cycles and committed counts, the fnv hash of the full
+// runDigest text, and the fnv hash of the final memory image.
+const digestsGolden = "testdata/scenario_digests.golden"
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite "+digestsGolden)
+
+// imageHash hashes the non-zero pages of a memory image in address order
+// (zero pages read as absent, as in mem.Image.Equal).
+func imageHash(im *mem.Image) string {
+	h := fnv.New64a()
+	var pn [8]byte
+	for _, pg := range im.State().Pages {
+		zero := true
+		for _, b := range pg.Data {
+			if b != 0 {
+				zero = false
+				break
+			}
+		}
+		if zero {
+			continue
+		}
+		binary.LittleEndian.PutUint64(pn[:], pg.PN)
+		h.Write(pn[:])
+		h.Write(pg.Data)
 	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestCrossCoreEquivalence runs every scenario under both cores and
-// requires bit-identical digests and memory images. With
-// SRVSIM_EQUIV_GOLDEN set it additionally writes the event-core digests to
-// the named file for out-of-tree diffing.
+// TestCrossCoreEquivalence runs every scenario and requires its digest line
+// to match the committed golden file, so any change to simulated behaviour —
+// counters, DumpStats, architectural state, sampler rows, trace events,
+// error text or memory — shows up as a named scenario diff. (The name dates
+// from when the suite compared two simulator cores; it is kept so the
+// scenario test IDs stay stable.) go test -update-golden rewrites the file
+// after an intentional behaviour change. With SRVSIM_EQUIV_GOLDEN set it
+// also writes the full digest text to the named file for out-of-tree
+// diffing.
 func TestCrossCoreEquivalence(t *testing.T) {
-	golden := os.Getenv("SRVSIM_EQUIV_GOLDEN")
-	var goldenBuf bytes.Buffer
-	for _, sc := range equivScenarios() {
+	full := os.Getenv("SRVSIM_EQUIV_GOLDEN")
+	var fullBuf, lines bytes.Buffer
+	want := map[string]string{}
+	if !*updateGolden {
+		raw, err := os.ReadFile(digestsGolden)
+		if err != nil {
+			t.Fatalf("%v (run go test -run TestCrossCoreEquivalence -update-golden to create it)", err)
+		}
+		for _, ln := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			want[strings.Fields(ln)[0]] = ln
+		}
+	}
+	scns := equivScenarios()
+	ran := 0
+	for _, sc := range scns {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			pEvent, imEvent := sc.build()
-			configureCore(pEvent, false)
-			dEvent := equivDigest(pEvent)
-
-			pTick, imTick := sc.build()
-			configureCore(pTick, true)
-			dTick := equivDigest(pTick)
-
-			if dEvent != dTick {
-				t.Errorf("digest mismatch between event and tick cores:\n--- event ---\n%s\n--- tick ---\n%s",
-					dEvent, dTick)
+			p, im := sc.build()
+			d := equivDigest(p)
+			got := fmt.Sprintf("%s cycles=%d committed=%d digest=%s mem=%s",
+				sc.name, p.Stats.Cycles, p.Stats.Committed, fnvHash(d), imageHash(im))
+			fmt.Fprintln(&lines, got)
+			ran++
+			if full != "" {
+				fmt.Fprintf(&fullBuf, "=== %s\n%s\n", sc.name, d)
 			}
-			if addr, diff := imEvent.FirstDiff(imTick); diff {
-				t.Errorf("memory image diverges at %#x", addr)
-			}
-			if golden != "" {
-				fmt.Fprintf(&goldenBuf, "=== %s\n%s\n", sc.name, dEvent)
+			if !*updateGolden && want[sc.name] != got {
+				t.Errorf("digest moved:\n got: %s\nwant: %s\nfull digest:\n%s", got, want[sc.name], d)
 			}
 		})
 	}
-	if golden != "" {
-		if err := os.WriteFile(golden, goldenBuf.Bytes(), 0o644); err != nil {
+	if *updateGolden {
+		if ran != len(scns) {
+			t.Fatalf("ran %d of %d scenarios: rewrite %s from a full run only", ran, len(scns), digestsGolden)
+		}
+		if err := os.WriteFile(digestsGolden, lines.Bytes(), 0o644); err != nil {
 			t.Fatalf("write golden: %v", err)
 		}
-		t.Logf("wrote golden digests to %s", golden)
+		t.Logf("wrote %s", digestsGolden)
+	}
+	if full != "" {
+		if err := os.WriteFile(full, fullBuf.Bytes(), 0o644); err != nil {
+			t.Fatalf("write full digests: %v", err)
+		}
+		t.Logf("wrote full digests to %s", full)
 	}
 }

@@ -95,7 +95,6 @@ func (p *Pipeline) oldPred(e *robEntry) isa.Pred {
 // (branch mispredict, replay, fallback pass) and the issue scan must stop.
 func (p *Pipeline) execute(e *robEntry, loadSlots, storeSlots *int) bool {
 	defer p.traceExec(e)
-	p.stepQuiet = false
 	p.iqCount-- // e leaves the issue queue (always sDispatched on entry)
 	e.state = sIssued
 	e.granted = true

@@ -1,205 +1,39 @@
 package pipeline
 
-import (
-	"bytes"
-	"compress/flate"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
+// fetchQueueSize bounds the fetch queue, as gem5's O3 CPU (the paper's
+// substrate) bounds its fetchQueueSize: fetch stops pushing once the queue
+// is full and resumes as dispatch drains it. 64 slots is 8x the default
+// width and 4x the widest swept one. It must stay a power of two (the ring
+// indexes with a mask).
+const fetchQueueSize = 64
 
-// The fetch queue is a FIFO of fetchSlots that can legitimately run millions
-// of slots deep: fetch follows the predicted path at full width while a
-// memory-bound dispatcher drains a handful of instructions per cycle, and
-// the queue's depth is an architectural observable (the sampler's fetchq
-// column), so it cannot be capped. A contiguous slice pays O(n) growth
-// copies and leaves multi-megabyte garbage behind; this chunked deque pushes
-// and pops in O(1) with no copying, and recycles chunks through a freelist
-// so a squash-heavy run reuses the same few blocks forever.
-
-// fetchChunkSize is slots per chunk: 1024 x 32-byte slots = one 32 KiB
-// block, large enough to amortise the link hops, small enough that the
-// freelist holds no more than a few hundred KiB after a deep-queue phase.
-const fetchChunkSize = 1024
-
-type fetchChunk struct {
-	slots [fetchChunkSize]fetchSlot
-	next  *fetchChunk
-}
-
-// fetchQueue is a chunked FIFO: slots are pushed at (tail, tailIdx) and
-// popped at (head, headIdx); exhausted head chunks and cleared queues return
-// their blocks to free.
+// fetchQueue is the FIFO of fetched instructions awaiting dispatch, a fixed
+// ring of fetchQueueSize slots.
 type fetchQueue struct {
-	head, tail       *fetchChunk
-	headIdx, tailIdx int // headIdx: next slot to pop; tailIdx: next slot to fill
-	n                int
-	free             *fetchChunk
+	slots   [fetchQueueSize]fetchSlot
+	head, n int
 }
 
 func (q *fetchQueue) len() int { return q.n }
 
-// front returns the oldest slot; the queue must be non-empty.
-func (q *fetchQueue) front() *fetchSlot { return &q.head.slots[q.headIdx] }
+func (q *fetchQueue) full() bool { return q.n == fetchQueueSize }
 
+// at returns the i-th oldest slot; i must be below len().
+func (q *fetchQueue) at(i int) *fetchSlot { return &q.slots[(q.head+i)&(fetchQueueSize-1)] }
+
+// front returns the oldest slot; the queue must be non-empty.
+func (q *fetchQueue) front() *fetchSlot { return q.at(0) }
+
+// push appends a slot; the queue must not be full.
 func (q *fetchQueue) push(s fetchSlot) {
-	if q.tail == nil || q.tailIdx == fetchChunkSize {
-		c := q.free
-		if c != nil {
-			q.free = c.next
-			c.next = nil
-		} else {
-			c = &fetchChunk{}
-		}
-		if q.tail == nil {
-			q.head, q.headIdx = c, 0
-		} else {
-			q.tail.next = c
-		}
-		q.tail, q.tailIdx = c, 0
-	}
-	q.tail.slots[q.tailIdx] = s
-	q.tailIdx++
+	*q.at(q.n) = s
 	q.n++
 }
 
 func (q *fetchQueue) pop() {
-	q.headIdx++
+	q.head = (q.head + 1) & (fetchQueueSize - 1)
 	q.n--
-	if q.n == 0 {
-		// Keep the current chunk hot instead of cycling it through the
-		// freelist: the common drained-queue case restarts in place.
-		q.headIdx, q.tailIdx = 0, 0
-		q.tail = q.head
-		return
-	}
-	if q.headIdx == fetchChunkSize {
-		c := q.head
-		q.head = c.next
-		c.next = q.free
-		q.free = c
-		q.headIdx = 0
-	}
 }
 
-// clear empties the queue, returning every chunk to the freelist (squash and
-// redirect flush the whole front end).
-func (q *fetchQueue) clear() {
-	if q.head != nil {
-		q.tail.next = q.free
-		q.free = q.head
-		q.head, q.tail = nil, nil
-	}
-	q.headIdx, q.tailIdx, q.n = 0, 0, 0
-}
-
-// each visits the queue's slots oldest-first.
-func (q *fetchQueue) each(fn func(*fetchSlot)) {
-	c, idx := q.head, q.headIdx
-	for n := q.n; n > 0; n-- {
-		fn(&c.slots[idx])
-		idx++
-		if idx == fetchChunkSize {
-			c, idx = c.next, 0
-		}
-	}
-}
-
-// FetchQState is the captured fetch queue in packed, DEFLATE-compressed
-// form. A literal per-slot capture is ruinous: the queue legitimately runs
-// millions of slots deep (fetch follows the predicted path at full width
-// while a memory-bound dispatcher drains a trickle), so a checkpoint's size
-// would grow with simulated time — hundreds of megabytes per emission on
-// fetch-bound loops. The slots are near-periodic, though: predicted-path pcs
-// repeat the loop body and readyAt advances on a fixed cadence, so
-// interleaved zigzag-varint deltas behind DEFLATE shrink the capture by two
-// orders of magnitude while staying exactly lossless.
-type FetchQState struct {
-	N      int    `json:"n"`                // slot count
-	Packed []byte `json:"packed,omitempty"` // compressed per-slot delta records
-}
-
-// state captures the queue: one pass appends each slot as zigzag-varint
-// deltas of (pc, readyAt, predTarget) plus a predTaken byte, then DEFLATE
-// (BestSpeed: the stream is so repetitive that higher levels buy little)
-// compresses the record stream.
-func (q *fetchQueue) state() FetchQState {
-	st := FetchQState{N: q.n}
-	if q.n == 0 {
-		return st
-	}
-	raw := make([]byte, 0, q.n*4)
-	var prevPC, prevReady, prevTarget int64
-	q.each(func(s *fetchSlot) {
-		raw = binary.AppendVarint(raw, int64(s.pc)-prevPC)
-		raw = binary.AppendVarint(raw, s.readyAt-prevReady)
-		t := byte(0)
-		if s.predTaken {
-			t = 1
-		}
-		raw = append(raw, t)
-		raw = binary.AppendVarint(raw, int64(s.predTarget)-prevTarget)
-		prevPC, prevReady, prevTarget = int64(s.pc), s.readyAt, int64(s.predTarget)
-	})
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		panic(err) // only invalid levels fail; BestSpeed is valid
-	}
-	zw.Write(raw)
-	zw.Close()
-	st.Packed = buf.Bytes()
-	return st
-}
-
-// setState replaces the queue's contents with a captured state. Slot pcs are
-// validated against progLen: the packed form is opaque on the wire, and a
-// corrupt pc would otherwise index the program out of range mid-run.
-func (q *fetchQueue) setState(st FetchQState, progLen int) error {
-	q.clear()
-	if st.N == 0 {
-		return nil
-	}
-	raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(st.Packed)))
-	if err != nil {
-		return fmt.Errorf("pipeline: fetch queue state: %v", err)
-	}
-	pos := 0
-	next := func() (int64, error) {
-		v, n := binary.Varint(raw[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("pipeline: fetch queue state truncated at byte %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	var pc, ready, target int64
-	for i := 0; i < st.N; i++ {
-		d, err := next()
-		if err != nil {
-			return err
-		}
-		pc += d
-		if d, err = next(); err != nil {
-			return err
-		}
-		ready += d
-		if pos >= len(raw) {
-			return fmt.Errorf("pipeline: fetch queue state truncated at byte %d", pos)
-		}
-		taken := raw[pos] != 0
-		pos++
-		if d, err = next(); err != nil {
-			return err
-		}
-		target += d
-		if pc < 0 || pc >= int64(progLen) {
-			return fmt.Errorf("pipeline: fetch queue slot %d pc %d out of range", i, pc)
-		}
-		q.push(fetchSlot{pc: int(pc), readyAt: ready, predTaken: taken, predTarget: int(target)})
-	}
-	if pos != len(raw) {
-		return fmt.Errorf("pipeline: fetch queue state carries %d trailing bytes", len(raw)-pos)
-	}
-	return nil
-}
+// clear empties the queue (squash and redirect flush the whole front end).
+func (q *fetchQueue) clear() { q.head, q.n = 0, 0 }

@@ -31,7 +31,7 @@ func (e InvariantError) Error() string {
 // check order. Tests iterate it to assert each class survives the harness's
 // recover boundary with its identity intact.
 var InvariantChecks = []string{
-	"rob-order", "rob-state", "rob-capacity", "iq-capacity", "lsq-capacity",
+	"rob-order", "rob-state", "rob-capacity", "iq-capacity", "lsq-capacity", "fetchq-capacity",
 	"srv-end-serial", "ctrl-replay-clear", "ctrl-restart-pc",
 	"ctrl-spec-replay", "ctrl-fallback-lanes", "rename-map",
 }
@@ -78,6 +78,9 @@ func (p *Pipeline) checkInvariants() {
 	}
 	if p.LSU.Len() > p.Cfg.LSQSize {
 		p.violated("lsq-capacity", "LSU %d > %d", p.LSU.Len(), p.Cfg.LSQSize)
+	}
+	if p.fetchLen() > fetchQueueSize {
+		p.violated("fetchq-capacity", "fetch queue %d > %d", p.fetchLen(), fetchQueueSize)
 	}
 	// 3. srv_end instances never execute concurrently (serialisation); any
 	// number may be dispatched-but-waiting.

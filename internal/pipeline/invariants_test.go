@@ -174,3 +174,20 @@ func TestParanoidFaultAndInterrupt(t *testing.T) {
 		t.Errorf("exceptions = %d, want 1", p.Stats.Exceptions)
 	}
 }
+
+// TestFetchQueueBound: on a loop whose memory dependence throttles dispatch
+// while fetch follows the predicted back edge at full width, the fetch queue
+// fills to its bound and never passes it.
+func TestFetchQueueBound(t *testing.T) {
+	prog, im := loadAddStoreLoop(10_000_000)
+	p := New(testConfig(), prog, im)
+	p.EnableParanoid()
+	deepest := 0
+	for i := 0; i < 50_000 && !p.halted; i++ {
+		p.step()
+		deepest = max(deepest, p.fetchLen())
+	}
+	if deepest != fetchQueueSize {
+		t.Errorf("deepest fetch queue %d slots, want it to fill to the %d-slot bound", deepest, fetchQueueSize)
+	}
+}

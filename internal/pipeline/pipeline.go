@@ -158,14 +158,12 @@ type Pipeline struct {
 	committedSeq int64
 
 	// entryPool recycles retired/squashed robEntries so steady-state
-	// dispatch allocates nothing (GC scan cost dominated the tick core).
+	// dispatch allocates nothing.
 	entryPool []*robEntry
 
 	fetchPC      int
-	fetchStalled bool // stop fetching (after halt or program end)
-	// The fetch queue: a chunked deque (fetchq.go), since fetch can run
-	// millions of slots ahead of a stalled dispatcher.
-	fetchq fetchQueue
+	fetchStalled bool       // stop fetching (after halt or program end)
+	fetchq       fetchQueue // bounded at fetchQueueSize slots (fetchq.go)
 
 	// srcScratch is the dispatch-time operand scratch buffer (AppendReads).
 	srcScratch []isa.RegRef
@@ -174,12 +172,6 @@ type Pipeline struct {
 	// issue scan; readySrcs consults it for every merge-only source, and
 	// issue recomputes it after each execute (which can change it).
 	fullMask bool
-
-	// stepQuiet is true after a step that performed no work: nothing was
-	// fetched, dispatched, issued, drained, completed, committed or counted.
-	// The event-driven scheduler may then advance time straight to the next
-	// wake event (scheduler.go).
-	stepQuiet bool
 
 	// Dispatcher region state.
 	dispRegionCounter int
@@ -251,10 +243,6 @@ type Pipeline struct {
 	// otherwise-healthy programs. 0 = disabled.
 	wedgeAt int64
 
-	// tickRef selects the per-cycle reference scheduler over the default
-	// event-driven one (UseReferenceTickCore).
-	tickRef bool
-
 	// Periodic checkpointing (checkpoint.go): with a sink installed and
 	// Cfg.CheckpointEvery > 0, RunContext emits a full machine checkpoint at
 	// the first cancellation-poll boundary at least CheckpointEvery cycles
@@ -308,12 +296,6 @@ func (p *Pipeline) SetCancel(fn func() error) { p.cancel = fn }
 // — the synthetic livelock the watchdog exists to catch.
 func (p *Pipeline) InjectWedge(cycle int64) { p.wedgeAt = cycle }
 
-// UseReferenceTickCore forces the per-cycle reference scheduler: every
-// cycle runs a full step with no quiet-stretch skipping. The event-driven
-// scheduler must be bit-identical to this core on every observable output;
-// the cross-core equivalence suite holds it to that contract.
-func (p *Pipeline) UseReferenceTickCore() { p.tickRef = true }
-
 // DefaultWatchdogCycles is the forward-progress window when
 // Config.WatchdogCycles is 0: generous enough that no legitimate commit gap
 // (cache-miss chains, fault service, interrupt freezes) approaches it, yet
@@ -366,10 +348,8 @@ func (p *Pipeline) RunContext(ctx context.Context) error {
 					return fmt.Errorf("%w at cycle %d: %v", ErrCancelled, p.cycle, err)
 				}
 			}
-			// Periodic checkpoint emission shares the poll boundary: both
-			// schedulers visit every boundary (quietTarget clamps to them),
-			// so emitted cycles are identical across cores. With no sink the
-			// default path pays only this one predictable branch.
+			// Periodic checkpoint emission shares the poll boundary. With no
+			// sink the default path pays only this one predictable branch.
 			if p.ckptSink != nil {
 				if every := p.Cfg.CheckpointEvery; every > 0 && p.cycle-p.ckptLastAt >= every {
 					p.ckptLastAt = p.cycle
@@ -388,18 +368,6 @@ func (p *Pipeline) RunContext(ctx context.Context) error {
 			p.Stats.Cycles = p.cycle
 			return &DeadlockError{Cycle: p.cycle, Window: wd, PC: p.fetchPC,
 				Snapshot: p.Snapshot(), Checkpoint: p.checkpoint(lastProgress)}
-		}
-		// Event-driven scheduling: after a step that did no work, advance
-		// time straight to the next wake event instead of ticking through
-		// the dead stretch (scheduler.go). The reference tick core never
-		// skips.
-		if p.stepQuiet && !p.tickRef && !p.halted {
-			if target := p.quietTarget(max, wd, lastProgress); target > p.cycle {
-				p.advanceQuiet(target)
-				if p.resumeAt > p.cycle {
-					lastProgress = p.cycle // frozen cycles count as progress
-				}
-			}
 		}
 	}
 	p.Stats.Cycles = p.cycle
@@ -454,7 +422,6 @@ func (p *Pipeline) step() {
 	// snapshots, sampler rows, paranoid panics) report the true cycle count
 	// instead of whatever the last exit path left behind.
 	p.Stats.Cycles = p.cycle
-	p.stepQuiet = true
 	if p.sampleEvery > 0 || p.tracer != nil {
 		p.observeCycle()
 	}
@@ -466,7 +433,6 @@ func (p *Pipeline) step() {
 		if p.cycle < p.resumeAt {
 			return
 		}
-		p.stepQuiet = false
 		p.resumeAt = 0
 		if p.resuming {
 			p.Ctrl.Resume(p.savedSRV)
@@ -502,7 +468,6 @@ func (p *Pipeline) raiseFault(e *robEntry, addr uint64) {
 // mappable, the pipeline flushes, and execution resumes at the faulting
 // instruction — through the §III-D2 save/resume path when inside a region.
 func (p *Pipeline) deliverFault() {
-	p.stepQuiet = false
 	e := p.rob[p.robHead]
 	p.Stats.Exceptions++
 	if p.tracer != nil {
@@ -548,8 +513,10 @@ func (p *Pipeline) fetch() {
 	if p.fetchStalled {
 		return
 	}
-	p.stepQuiet = false
 	for n := 0; n < p.Cfg.Width; n++ {
+		if p.fetchq.full() {
+			return // resumes as dispatch drains the queue
+		}
 		if p.fetchPC < 0 || p.fetchPC >= p.Prog.Len() {
 			p.fetchStalled = true
 			return
@@ -596,12 +563,10 @@ func (p *Pipeline) dispatch() {
 			return
 		}
 		if p.robLen() >= p.Cfg.ROBSize {
-			p.stepQuiet = false
 			p.Stats.DispatchStallROB++
 			return
 		}
 		if p.iqCount >= p.Cfg.IQSize {
-			p.stepQuiet = false
 			p.Stats.DispatchStallIQ++
 			return
 		}
@@ -640,7 +605,6 @@ func (p *Pipeline) dispatch() {
 			}
 		}
 
-		p.stepQuiet = false
 		p.nextSeq++
 		p.fetchq.pop()
 
@@ -725,7 +689,6 @@ func (p *Pipeline) reserveLSU(e *robEntry, instance int) bool {
 			p.enterFallback(e.pc)
 			return false
 		}
-		p.stepQuiet = false
 		p.Stats.DispatchStallLSQ++
 		return false
 	}
@@ -774,7 +737,6 @@ func (p *Pipeline) issue() {
 			ports = &storeSlots
 		}
 		for e.memElems > 0 && *ports > 0 {
-			p.stepQuiet = false
 			e.memElems--
 			*ports--
 		}
@@ -801,7 +763,6 @@ func (p *Pipeline) issue() {
 				break // nothing younger issues in the same cycle
 			}
 			if e.state == sIssued && p.anyYoungerReady(e.seq) {
-				p.stepQuiet = false
 				p.Stats.BarrierCycles++
 			}
 			if !p.Cfg.RelaxedBarrier {
@@ -1037,7 +998,6 @@ func (p *Pipeline) complete() {
 	for i, e := range p.active {
 		if e.state == sIssued && e.granted && p.cycle >= e.doneAt {
 			e.state = sDone
-			p.stepQuiet = false
 		}
 		if e.state != sDone || e.faulted {
 			if n != i {
@@ -1064,7 +1024,6 @@ func (p *Pipeline) commit() {
 		if e.state != sDone || e.faulted {
 			return
 		}
-		p.stepQuiet = false
 		p.rob[p.robHead] = nil
 		p.robHead++
 		if p.robHead == len(p.rob) {
@@ -1148,7 +1107,6 @@ func (p *Pipeline) writeArch(e *robEntry) {
 // squashAfter removes every instruction with seq > after, restoring the
 // rename table and dispatcher state.
 func (p *Pipeline) squashAfter(after int64) {
-	p.stepQuiet = false
 	win := p.robWin()
 	cut := len(win)
 	for i, e := range win {
@@ -1221,7 +1179,6 @@ func (p *Pipeline) squashAfter(after int64) {
 }
 
 func (p *Pipeline) redirect(pc int) {
-	p.stepQuiet = false
 	p.fetchPC = pc
 	p.fetchStalled = false
 	p.fetchq.clear()
@@ -1258,7 +1215,6 @@ func (p *Pipeline) interruptSafe() bool {
 }
 
 func (p *Pipeline) takeInterrupt() {
-	p.stepQuiet = false
 	p.Stats.Interrupts++
 	p.profSuspend()
 	if p.tracer != nil {

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"srvsim/internal/harness"
+	"srvsim/internal/pipeline"
 	"srvsim/internal/workloads"
 )
 
@@ -145,6 +148,64 @@ func TestJournalCheckpointReplay(t *testing.T) {
 	}
 	if st2.failed != 0 {
 		t.Fatal("failed keys should not survive compaction")
+	}
+}
+
+// TestJournalDropsV1Checkpoint: a checkpoint journaled on machine schema v1
+// (which packed the then-unbounded fetch queue under "fetchq") still decodes
+// as a record, is refused by Validate, and leaves its job pending to re-run
+// from cycle 0, exactly like a foreign-build checkpoint; later records still
+// replay.
+func TestJournalDropsV1Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	req := testLoopReq()
+	now := time.Now()
+	v1 := testCkpt(t, "l1", "scalar", 5000)
+	cpSRV := testCkpt(t, "l1", "srv", 7000)
+
+	raw, err := json.Marshal(journalRecord{Op: opCkpt, Key: "a", ID: "sim-1", At: now, Checkpoint: &v1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := fmt.Sprintf(`"schemaVersion":%d,`, pipeline.CheckpointSchemaVersion)
+	if !bytes.Contains(raw, []byte(cur)) {
+		t.Fatalf("record lacks %s", cur)
+	}
+	raw = bytes.Replace(raw, []byte(cur), []byte(`"schemaVersion":1,"fetchq":{"n":3,"packed":"AQID"},`), 1)
+
+	var rec journalRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatalf("v1 record no longer decodes: %v", err)
+	}
+	if err := rec.Checkpoint.Validate(); err == nil || !strings.Contains(err.Error(), "schema v1") {
+		t.Fatalf("v1 checkpoint passed validation: %v", err)
+	}
+
+	appendAll(t, dir, journalRecord{Op: opSubmit, Key: "a", ID: "sim-1", At: now, Req: &req})
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(raw, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, dir, journalRecord{Op: opCkpt, Key: "a", ID: "sim-1", At: now, Checkpoint: &cpSRV})
+
+	st, err := replayJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.truncated {
+		t.Fatal("v1 checkpoint record ended the replay as a torn write")
+	}
+	if len(st.pending) != 1 || st.pending[0].key != "a" {
+		t.Fatalf("pending = %+v, want key a to re-run", st.pending)
+	}
+	if got := st.pending[0].ckpts; len(got) != 1 || got[0].Variant != "srv" {
+		t.Fatalf("retained checkpoints %+v, want only the v2 srv one", got)
 	}
 }
 

@@ -145,7 +145,9 @@ func TestFairQueueBounds(t *testing.T) {
 
 // TestFairQueueConcurrent hammers the queue from many producers and
 // consumers under -race: no job may be lost or duplicated, and each tenant's
-// jobs must pop in its own push order (per-tenant FIFO).
+// jobs must pop in its own push order (per-tenant FIFO). Consumers dequeue
+// and record under one lock, so the recorded order is the pop order; they
+// park on the queue's wake signal, as Pop does, while the queue is empty.
 func TestFairQueueConcurrent(t *testing.T) {
 	const tenants, perTenant, consumers = 8, 200, 4
 	weights := map[string]int{"t0": 4, "t1": 2}
@@ -175,18 +177,24 @@ func TestFairQueueConcurrent(t *testing.T) {
 		go func() {
 			defer cwg.Done()
 			for {
-				j, ok := q.Pop(ctx, nil)
-				if !ok {
-					return
-				}
 				mu.Lock()
-				popped[j.tenant] = append(popped[j.tenant], j.id)
-				total++
+				j := q.tryPop()
+				if j != nil {
+					popped[j.tenant] = append(popped[j.tenant], j.id)
+					total++
+				}
 				done := total == tenants*perTenant
 				mu.Unlock()
 				if done {
 					cancel() // release the other consumers
 					return
+				}
+				if j == nil {
+					select {
+					case <-ctx.Done():
+						return
+					case <-q.sig:
+					}
 				}
 			}
 		}()
