@@ -15,24 +15,30 @@ fmt-check:
 
 # check is the pre-merge gate: formatting, static vetting, the observability
 # smoke, plus the race detector over the packages with concurrency (harness
-# worker pool) and the rewritten LSU hot path.
+# worker pool), the LSU hot path, and the memory image and interpreter the
+# harness's concurrent variants share (one reference image read by both).
 check: fmt-check serve-chaos resume-smoke obs-smoke fleet-smoke tenant-smoke
 	$(GO) vet ./...
-	$(GO) test -race -timeout 45m ./internal/harness ./internal/lsu ./internal/serve ./internal/gateway
+	$(GO) test -race -timeout 45m ./internal/harness ./internal/lsu ./internal/mem ./internal/isa ./internal/serve ./internal/gateway
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/lsu ./internal/pipeline
 
 # bench-speed is the simulator-throughput check: the core hot-path
 # microbenchmarks with allocation reporting (the per-cycle step, the
-# observability hooks, the bitvec disambiguation kernels, and whole-pipeline
-# cycles/sec), then a fresh timing report (BENCH_harness.json) carrying
-# informational cycles_per_sec deltas against the previous run. Wall-clock
-# numbers are machine-relative: eyeball them, gate on `make bench-gate`.
-# The zero-allocation step is asserted by TestStepAllocs in `make test`.
+# observability hooks, whole-pipeline cycles/sec, the LSU candidate walk and
+# region commit, the bitvec disambiguation kernels, the interpreter's SRV
+# region and the FlexVec comparison), then a fresh timing report
+# (BENCH_harness.json) carrying informational cycles_per_sec deltas against
+# the previous run. Wall-clock numbers are machine-relative: eyeball them,
+# gate on `make bench-gate`. The zero-allocation step and interpreter region
+# are asserted by TestStepAllocs and TestInterpRegionAllocs in `make test`.
 bench-speed: build
 	$(GO) test -run '^$$' -bench 'StepCheckpointOff|ObserveCycle|Pipeline' -benchmem ./internal/pipeline
+	$(GO) test -run '^$$' -bench 'ExecLoad|ExecStore|CommitRegion' -benchmem ./internal/lsu
 	$(GO) test -run '^$$' -bench 'Mask128' -benchmem ./internal/bitvec
+	$(GO) test -run '^$$' -bench 'InterpRegion' -benchmem ./internal/isa
+	$(GO) test -run '^$$' -bench 'FlexVecCompare' -benchmem ./internal/flexvec
 	$(GO) run ./cmd/srvbench -timing BENCH_harness.json
 
 # timing regenerates BENCH_harness.json (per-benchmark wall-clock of the
@@ -51,19 +57,23 @@ bench-gate: build
 	code=$$?; rm -f .bench-fresh.json; exit $$code
 
 # repro-check is the reproduction oracle: the whole srvbench evaluation at
-# seed 7 must print output byte-identical to results_reference.txt. Any
-# byte of difference fails, with the diff shown.
+# seed 7 must print output byte-identical to results_reference.txt, and its
+# -json form byte-identical to results_reference.json. Any byte of
+# difference fails, with the diff shown.
 repro-check: build
 	$(GO) build -o .repro-check.bin ./cmd/srvbench
-	./.repro-check.bin -seed 7 -parallel 2 > .repro-check.out; \
-	code=$$?; \
-	if [ $$code -ne 0 ]; then echo "repro-check: srvbench exit $$code"; rm -f .repro-check.bin .repro-check.out; exit 1; fi; \
-	if ! cmp -s .repro-check.out results_reference.txt; then \
-		diff results_reference.txt .repro-check.out | head -40; \
-		echo "repro-check: output differs from results_reference.txt"; \
-		rm -f .repro-check.bin .repro-check.out; exit 1; fi; \
-	rm -f .repro-check.bin .repro-check.out; \
-	echo "repro-check: ok (byte-identical to results_reference.txt)"
+	@for form in txt json; do \
+		flags="-seed 7 -parallel 2"; [ $$form = json ] && flags="$$flags -json"; \
+		./.repro-check.bin $$flags > .repro-check.out; \
+		code=$$?; \
+		if [ $$code -ne 0 ]; then echo "repro-check: srvbench $$flags exit $$code"; rm -f .repro-check.bin .repro-check.out; exit 1; fi; \
+		if ! cmp -s .repro-check.out results_reference.$$form; then \
+			diff results_reference.$$form .repro-check.out | head -40; \
+			echo "repro-check: srvbench $$flags differs from results_reference.$$form"; \
+			rm -f .repro-check.bin .repro-check.out; exit 1; fi; \
+		echo "repro-check: ok (byte-identical to results_reference.$$form)"; \
+	done; \
+	rm -f .repro-check.bin .repro-check.out
 
 # chaos-smoke is the resilience drill: fault-inject 20% of simulations on a
 # single figure and require the run to complete with contained failures

@@ -10,90 +10,86 @@ type AccessRec struct {
 	Pos     int // statement position
 }
 
-// IterAccesses returns the memory accesses iteration i would perform against
-// the current memory state, without executing the iteration. Guarded
-// statements whose mask fails contribute no accesses. Index-array reads are
-// included (they are real loads).
-func IterAccesses(l *Loop, i int, im *mem.Image) []AccessRec {
+// IterAccesses appends to dst the memory accesses iteration i would perform
+// against the current memory state, without executing the iteration, and
+// returns the extended slice. Guarded statements whose mask fails
+// contribute no accesses beyond the mask's own reads. Index-array reads are
+// included (they are real loads). Callers reuse dst across iterations, so
+// the walk allocates nothing once dst has grown.
+func IterAccesses(dst []AccessRec, l *Loop, i int, im *mem.Image) []AccessRec {
 	iv := int64(i)
-	var out []AccessRec
-	var walkExpr func(e Expr, pos int)
-	walkIdx := func(ix Index, pos int) {
-		if ix.Indirect != nil {
-			out = append(out, AccessRec{
-				Addr: ix.Indirect.Addr(ix.Scale*iv + ix.Offset),
-				Size: ix.Indirect.Elem, Pos: pos,
-			})
-		}
-	}
-	walkExpr = func(e Expr, pos int) {
-		switch x := e.(type) {
-		case Ref:
-			walkIdx(x.Idx, pos)
-			out = append(out, AccessRec{
-				Addr: evalAddr(x.Arr, x.Idx, iv, im),
-				Size: x.Arr.Elem, Pos: pos,
-			})
-		case Bin:
-			walkExpr(x.L, pos)
-			walkExpr(x.R, pos)
-			if x.C != nil {
-				walkExpr(x.C, pos)
-			}
-		}
-	}
 	for pos, s := range l.Body {
 		if s.Mask != nil {
-			walkExpr(s.Mask.L, pos)
-			walkExpr(s.Mask.R, pos)
-			lv := evalExpr(s.Mask.L, iv, im)
-			rv := evalExpr(s.Mask.R, iv, im)
-			ok := false
-			switch s.Mask.Op {
-			case CmpLT:
-				ok = lv < rv
-			case CmpGE:
-				ok = lv >= rv
-			case CmpEQ:
-				ok = lv == rv
-			case CmpNE:
-				ok = lv != rv
-			}
-			if !ok {
+			dst = appendExprAccesses(dst, s.Mask.L, pos, iv, im)
+			dst = appendExprAccesses(dst, s.Mask.R, pos, iv, im)
+			if !maskHolds(s.Mask, iv, im) {
 				continue
 			}
 		}
-		walkExpr(s.Val, pos)
-		walkIdx(s.Idx, pos)
-		out = append(out, AccessRec{
+		dst = appendExprAccesses(dst, s.Val, pos, iv, im)
+		dst = appendIndexAccess(dst, s.Idx, pos, iv)
+		dst = append(dst, AccessRec{
 			Addr: evalAddr(s.Dst, s.Idx, iv, im),
 			Size: s.Dst.Elem, IsStore: true, Pos: pos,
 		})
 	}
-	return out
+	return dst
+}
+
+// appendIndexAccess appends the index-array read of an indirect subscript.
+func appendIndexAccess(dst []AccessRec, ix Index, pos int, iv int64) []AccessRec {
+	if ix.Indirect == nil {
+		return dst
+	}
+	return append(dst, AccessRec{
+		Addr: ix.Indirect.Addr(ix.Scale*iv + ix.Offset),
+		Size: ix.Indirect.Elem, Pos: pos,
+	})
+}
+
+// appendExprAccesses appends the loads an expression performs, operands
+// first.
+func appendExprAccesses(dst []AccessRec, e Expr, pos int, iv int64, im *mem.Image) []AccessRec {
+	switch x := e.(type) {
+	case Ref:
+		dst = appendIndexAccess(dst, x.Idx, pos, iv)
+		dst = append(dst, AccessRec{
+			Addr: evalAddr(x.Arr, x.Idx, iv, im),
+			Size: x.Arr.Elem, Pos: pos,
+		})
+	case Bin:
+		dst = appendExprAccesses(dst, x.L, pos, iv, im)
+		dst = appendExprAccesses(dst, x.R, pos, iv, im)
+		if x.C != nil {
+			dst = appendExprAccesses(dst, x.C, pos, iv, im)
+		}
+	}
+	return dst
+}
+
+// maskHolds evaluates a statement guard for iteration iv.
+func maskHolds(m *Mask, iv int64, im *mem.Image) bool {
+	lv := evalExpr(m.L, iv, im)
+	rv := evalExpr(m.R, iv, im)
+	switch m.Op {
+	case CmpLT:
+		return lv < rv
+	case CmpGE:
+		return lv >= rv
+	case CmpEQ:
+		return lv == rv
+	case CmpNE:
+		return lv != rv
+	}
+	return false
 }
 
 // EvalIter executes exactly one iteration of the loop against the image.
 func EvalIter(l *Loop, i int, im *mem.Image) {
 	iv := int64(i)
 	for _, s := range l.Body {
-		if s.Mask != nil {
-			lv := evalExpr(s.Mask.L, iv, im)
-			rv := evalExpr(s.Mask.R, iv, im)
-			ok := false
-			switch s.Mask.Op {
-			case CmpLT:
-				ok = lv < rv
-			case CmpGE:
-				ok = lv >= rv
-			case CmpEQ:
-				ok = lv == rv
-			case CmpNE:
-				ok = lv != rv
-			}
-			if !ok {
-				continue
-			}
+		if s.Mask != nil && !maskHolds(s.Mask, iv, im) {
+			continue
 		}
 		v := evalExpr(s.Val, iv, im)
 		im.WriteInt(evalAddr(s.Dst, s.Idx, iv, im), s.Dst.Elem, v)

@@ -67,13 +67,13 @@ func Compare(l *compiler.Loop, im *mem.Image) (Result, error) {
 	bodyV, loopO, aliasPairs := staticCounts(srv)
 	imFV := im.Clone()
 	main := l.Trip - l.Trip%isa.NumLanes
+	var accs [isa.NumLanes][]compiler.AccessRec // per-lane buffers, reused across groups
 	for g := 0; g < main; g += isa.NumLanes {
 		res.Groups++
 		// Conflict detection at group entry: addresses from the pre-group
 		// state (FlexVec checks index vectors before executing the group).
-		accs := make([][]compiler.AccessRec, isa.NumLanes)
-		for lane := 0; lane < isa.NumLanes; lane++ {
-			accs[lane] = compiler.IterAccesses(l, g+lane, imFV)
+		for lane := range accs {
+			accs[lane] = compiler.IterAccesses(accs[lane][:0], l, g+lane, imFV)
 		}
 		// One split VCONFLICTM per aliasing pair: 16 per-element compare
 		// instructions plus one index-vector load and one mask combine.

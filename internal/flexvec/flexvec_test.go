@@ -117,3 +117,20 @@ func TestSafeLoopFailsGracefully(t *testing.T) {
 		t.Error("dependent loop must be rejected")
 	}
 }
+
+// BenchmarkFlexVecCompare measures one Compare per op over the paper's
+// index pattern at 1024 iterations: compiling and interpreting the SRV
+// program, then the FlexVec emulation's per-group conflict checks.
+func BenchmarkFlexVecCompare(b *testing.B) {
+	const n = 1024
+	l, _, x := listing1Loop(n)
+	im := mem.NewImage()
+	seedPaperPattern(l, x, im, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compare(l, im); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package isa
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Memory is the byte-addressable storage the interpreter and simulator
@@ -12,32 +13,8 @@ type Memory interface {
 	WriteBytes(addr uint64, p []byte)
 }
 
-// ReadInt loads n little-endian bytes from m and sign-extends them. All
-// arithmetic in the ISA is on signed 64-bit values; sign extension keeps
-// narrow-element arithmetic consistent with wide.
-func ReadInt(m Memory, addr uint64, n int) int64 {
-	var buf [8]byte
-	m.ReadBytes(addr, buf[:n])
-	var v uint64
-	for i := 0; i < n; i++ {
-		v |= uint64(buf[i]) << (8 * uint(i))
-	}
-	shift := uint(64 - 8*n)
-	return int64(v<<shift) >> shift
-}
-
-// WriteInt stores the low n bytes of v little-endian.
-func WriteInt(m Memory, addr uint64, n int, v int64) {
-	var buf [8]byte
-	for i := 0; i < n; i++ {
-		buf[i] = byte(uint64(v) >> (8 * uint(i)))
-	}
-	m.WriteBytes(addr, buf[:n])
-}
-
 // PutInt writes the n-byte little-endian encoding of v into dst, which must
-// hold at least n bytes. It is the allocation-free form of EncodeInt for
-// hot paths that own a destination buffer.
+// hold at least n bytes.
 func PutInt(dst []byte, n int, v int64) {
 	_ = dst[n-1]
 	for i := 0; i < n; i++ {
@@ -45,16 +22,9 @@ func PutInt(dst []byte, n int, v int64) {
 	}
 }
 
-// EncodeInt returns the n-byte little-endian encoding of v.
-func EncodeInt(n int, v int64) []byte {
-	buf := make([]byte, n)
-	for i := 0; i < n; i++ {
-		buf[i] = byte(uint64(v) >> (8 * uint(i)))
-	}
-	return buf
-}
-
-// DecodeInt sign-extends an n-byte little-endian encoding.
+// DecodeInt sign-extends an n-byte little-endian encoding. All arithmetic
+// in the ISA is on signed 64-bit values; sign extension keeps
+// narrow-element arithmetic consistent with wide.
 func DecodeInt(p []byte) int64 {
 	var v uint64
 	for i, b := range p {
@@ -133,7 +103,8 @@ type srvStore struct {
 	pc     int
 	lane   int
 	addr   uint64
-	data   []byte
+	size   int
+	data   [8]byte // little-endian value; elements are at most 8 bytes
 	active bool
 }
 
@@ -174,15 +145,20 @@ type Interp struct {
 	Halted bool
 	Counts Counts
 
-	// SRV region state.
+	// SRV region state. The store and load records live in reusable
+	// slices in allocation order; slot[pc*NumLanes+lane] holds 1 + the
+	// record's index in the slice its PC's kind selects (0: no record yet).
+	// srv_start clears only the slots the previous region used, so a
+	// steady-state region allocates nothing.
 	inRegion    bool
 	regionDir   Direction
 	regionStart int // PC of instruction after srv_start
 	replay      Pred
 	needsReplay Pred
-	stores      map[[2]int]*srvStore
-	loads       map[[2]int]*srvLoad
-	storeOrder  [][2]int // allocation order for deterministic writeback tie-break
+	stores      []srvStore
+	loads       []srvLoad
+	slot        []int32
+	scratch     [8]byte // memory-access buffer: keeps reads and writes off the heap
 }
 
 // NewInterp returns an interpreter for prog against mem.
@@ -426,9 +402,7 @@ func (ip *Interp) Step() error {
 		ip.regionStart = ip.PC + 1
 		ip.replay = AllTrue()
 		ip.needsReplay = Pred{}
-		ip.stores = make(map[[2]int]*srvStore)
-		ip.loads = make(map[[2]int]*srvLoad)
-		ip.storeOrder = ip.storeOrder[:0]
+		ip.resetRecords()
 		ip.Counts.VectorIters++
 	case OpSRVEnd:
 		if !ip.inRegion {
@@ -480,16 +454,47 @@ func (ip *Interp) pmerge(rd int, act Pred, f func(i int) bool) {
 	}
 }
 
+// resetRecords empties the region's store and load records, clearing the
+// slots they occupied and keeping the slices' capacity.
+func (ip *Interp) resetRecords() {
+	if n := ip.Prog.Len() * NumLanes; len(ip.slot) < n {
+		ip.slot = make([]int32, n)
+	}
+	for i := range ip.stores {
+		ip.slot[ip.stores[i].pc*NumLanes+ip.stores[i].lane] = 0
+	}
+	for i := range ip.loads {
+		ip.slot[ip.loads[i].pc*NumLanes+ip.loads[i].lane] = 0
+	}
+	ip.stores = ip.stores[:0]
+	ip.loads = ip.loads[:0]
+}
+
+// readInt loads n little-endian bytes through the interpreter's scratch
+// buffer and sign-extends them.
+func (ip *Interp) readInt(addr uint64, n int) int64 {
+	buf := ip.scratch[:n]
+	ip.Mem.ReadBytes(addr, buf)
+	return DecodeInt(buf)
+}
+
+// writeInt stores the low n bytes of v through the scratch buffer.
+func (ip *Interp) writeInt(addr uint64, n int, v int64) {
+	buf := ip.scratch[:n]
+	PutInt(buf, n, v)
+	ip.Mem.WriteBytes(addr, buf)
+}
+
 // loadScalar performs a scalar load; scalar accesses inside an SRV region are
 // kept outside by the compiler, so they always hit memory directly.
 func (ip *Interp) loadScalar(addr uint64, n int, in *Inst) int64 {
 	_ = in
-	return ReadInt(ip.Mem, addr, n)
+	return ip.readInt(addr, n)
 }
 
 func (ip *Interp) storeScalar(addr uint64, n int, v int64, in *Inst) {
 	_ = in
-	WriteInt(ip.Mem, addr, n, v)
+	ip.writeInt(addr, n, v)
 }
 
 // loadVecLane resolves one lane's loaded value. Inside a region each byte
@@ -497,34 +502,37 @@ func (ip *Interp) storeScalar(addr uint64, n int, v int64, in *Inst) {
 // from memory (partial store-to-load forwarding, paper §III-B1).
 func (ip *Interp) loadVecLane(addr uint64, n, lane int) int64 {
 	if !ip.inRegion {
-		return ReadInt(ip.Mem, addr, n)
+		return ip.readInt(addr, n)
 	}
-	buf := make([]byte, n)
+	buf := ip.scratch[:n]
 	ip.Mem.ReadBytes(addr, buf)
 	loadPC := ip.PC
-	for b := 0; b < n; b++ {
-		byteAddr := addr + uint64(b)
-		var best *srvStore
-		bestOff := 0
-		for _, st := range ip.stores {
-			if !st.active {
-				continue
-			}
-			if byteAddr < st.addr || byteAddr >= st.addr+uint64(len(st.data)) {
-				continue
-			}
-			// Only sequentially older stores may forward (WAR rule: data
-			// from later lanes is not forwardable).
-			if !seqBefore(st.lane, st.pc, lane, loadPC) {
-				continue
-			}
-			if best == nil || seqBefore(best.lane, best.pc, st.lane, st.pc) {
-				best = st
-				bestOff = int(byteAddr - st.addr)
+	// best[b] is the index of the youngest qualifying store covering byte b.
+	var best [8]int
+	for b := range buf {
+		best[b] = -1
+	}
+	end := addr + uint64(n)
+	for i := range ip.stores {
+		st := &ip.stores[i]
+		if !st.active || st.addr >= end || addr >= st.addr+uint64(st.size) {
+			continue
+		}
+		// Only sequentially older stores may forward (WAR rule: data from
+		// later lanes is not forwardable).
+		if !seqBefore(st.lane, st.pc, lane, loadPC) {
+			continue
+		}
+		for a := max(addr, st.addr); a < min(end, st.addr+uint64(st.size)); a++ {
+			if k := best[a-addr]; k < 0 || seqBefore(ip.stores[k].lane, ip.stores[k].pc, st.lane, st.pc) {
+				best[a-addr] = i
 			}
 		}
-		if best != nil {
-			buf[b] = best.data[bestOff]
+	}
+	for b := range buf {
+		if k := best[b]; k >= 0 {
+			st := &ip.stores[k]
+			buf[b] = st.data[addr+uint64(b)-st.addr]
 		}
 	}
 	return DecodeInt(buf)
@@ -536,18 +544,18 @@ func (ip *Interp) recordLoadLane(addr uint64, n, lane int, active bool) {
 	if !ip.inRegion {
 		return
 	}
-	key := [2]int{ip.PC, lane}
-	rec := ip.loads[key]
-	if rec == nil {
+	s := ip.PC*NumLanes + lane
+	if ip.slot[s] == 0 {
 		// First execution of the region issues every memory instruction so
 		// all LSU entries exist, even for predicate-off lanes (paper §III-C).
-		rec = &srvLoad{pc: ip.PC, lane: lane}
-		ip.loads[key] = rec
+		ip.loads = append(ip.loads, srvLoad{pc: ip.PC, lane: lane})
+		ip.slot[s] = int32(len(ip.loads))
 	}
 	if !active {
 		// An inactive lane leaves its existing entry unchanged.
 		return
 	}
+	rec := &ip.loads[ip.slot[s]-1]
 	rec.addr, rec.size, rec.active = addr, n, true
 }
 
@@ -558,26 +566,26 @@ func (ip *Interp) recordLoadLane(addr uint64, n, lane int, active bool) {
 func (ip *Interp) storeVecLane(addr uint64, n int, v int64, lane int, active bool) {
 	if !ip.inRegion {
 		if active {
-			WriteInt(ip.Mem, addr, n, v)
+			ip.writeInt(addr, n, v)
 		}
 		return
 	}
-	key := [2]int{ip.PC, lane}
-	rec := ip.stores[key]
-	if rec == nil {
-		rec = &srvStore{pc: ip.PC, lane: lane}
-		ip.stores[key] = rec
-		ip.storeOrder = append(ip.storeOrder, key)
+	s := ip.PC*NumLanes + lane
+	if ip.slot[s] == 0 {
+		ip.stores = append(ip.stores, srvStore{pc: ip.PC, lane: lane})
+		ip.slot[s] = int32(len(ip.stores))
 	}
 	if !active {
 		// An inactive lane leaves its existing entry unchanged; on the first
 		// pass this pre-allocates the entry without marking bytes.
 		return
 	}
-	rec.addr, rec.active = addr, true
-	rec.data = EncodeInt(n, v)
+	rec := &ip.stores[ip.slot[s]-1]
+	rec.addr, rec.size, rec.active = addr, n, true
+	PutInt(rec.data[:n], n, v)
 	storePC := ip.PC
-	for _, ld := range ip.loads {
+	for i := range ip.loads {
+		ld := &ip.loads[i]
 		if !ld.active {
 			continue
 		}
@@ -599,21 +607,20 @@ func (ip *Interp) storeVecLane(addr uint64, n int, v int64, lane int, active boo
 }
 
 // commitRegion writes buffered stores back in sequential order so the
-// youngest store to each byte wins (WAW resolution, paper §III-B3).
+// youngest store to each byte wins (WAW resolution, paper §III-B3). The
+// records are sorted in place: the region is over, and resetRecords clears
+// slots by each record's own (pc, lane), not by its index.
 func (ip *Interp) commitRegion() {
-	keys := make([][2]int, 0, len(ip.stores))
-	for k, st := range ip.stores {
-		if st.active {
-			keys = append(keys, k)
+	slices.SortFunc(ip.stores, func(a, b srvStore) int {
+		if c := cmp.Compare(a.lane, b.lane); c != 0 {
+			return c
 		}
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		sa, sb := ip.stores[keys[a]], ip.stores[keys[b]]
-		return seqBefore(sa.lane, sa.pc, sb.lane, sb.pc)
+		return cmp.Compare(a.pc, b.pc)
 	})
-	for _, k := range keys {
-		st := ip.stores[k]
-		ip.Mem.WriteBytes(st.addr, st.data)
+	for i := range ip.stores {
+		if st := &ip.stores[i]; st.active {
+			ip.Mem.WriteBytes(st.addr, st.data[:st.size])
+		}
 	}
 }
 

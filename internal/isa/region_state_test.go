@@ -97,3 +97,75 @@ func TestInterpRegionStateTransitions(t *testing.T) {
 		}
 	}
 }
+
+// regionLoop returns an n-iteration SRV-region loop over one fixed group of
+// 16 elements: b[i] = a[x[i]] += 1, then a reload of b. The indices repeat
+// every fourth lane, so every region replays, and the reload forwards from
+// the buffered store. Every iteration touches the same addresses.
+func regionLoop(n int64) (*Program, *mem.Image) {
+	im := mem.NewImage()
+	aBase := im.Alloc(16*4, 64)
+	xBase := im.Alloc(16*4, 64)
+	bBase := im.Alloc(16*4, 64)
+	for i := 0; i < 16; i++ {
+		im.WriteInt(xBase+uint64(i*4), 4, int64(i%4))
+	}
+	prog := NewBuilder().
+		MovI(0, 0).
+		MovI(2, n).
+		MovI(3, int64(aBase)).
+		MovI(4, int64(xBase)).
+		MovI(5, int64(bBase)).
+		Label("loop").
+		SRVStart(DirUp).
+		VLoad(1, 4, 0, 4, NoPred).
+		VGather(2, 3, 1, 0, 4, NoPred).
+		VAddI(2, 2, 1, NoPred).
+		VScatter(3, 1, 2, 0, 4, NoPred).
+		VStore(5, 0, 4, 2, NoPred).
+		VLoad(3, 5, 0, 4, NoPred).
+		SRVEnd().
+		AddI(0, 0, 1).
+		BLT(0, 2, "loop").
+		Halt().
+		MustBuild()
+	return prog, im
+}
+
+// stepToRegionEnd steps until one more region has committed.
+func stepToRegionEnd(tb testing.TB, ip *Interp) {
+	tb.Helper()
+	for n := ip.Counts.Regions; ip.Counts.Regions == n; {
+		if err := ip.Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestInterpRegionAllocs asserts the interpreter's region state is reused:
+// once the first region has run, each further loop iteration — srv_start,
+// gathers, forwarding loads, buffered scatters and stores, a replay and the
+// commit at srv_end — allocates nothing.
+func TestInterpRegionAllocs(t *testing.T) {
+	ip := NewInterp(regionLoop(1_000_000))
+	stepToRegionEnd(t, ip)
+	replays := ip.Counts.Replays
+	if allocs := testing.AllocsPerRun(100, func() { stepToRegionEnd(t, ip) }); allocs != 0 {
+		t.Errorf("%v allocs per region, want 0", allocs)
+	}
+	if ip.Counts.Replays == replays {
+		t.Error("the measured regions never replayed")
+	}
+}
+
+// BenchmarkInterpRegion measures one iteration of regionLoop per op: a
+// region with a gather, a scatter, a store-to-load forward and one replay.
+func BenchmarkInterpRegion(b *testing.B) {
+	ip := NewInterp(regionLoop(1 << 62))
+	stepToRegionEnd(b, ip)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stepToRegionEnd(b, ip)
+	}
+}

@@ -11,8 +11,8 @@ import (
 // The benchmarks exercise the LSU hot paths the pipeline hits on every
 // memory instruction: entry allocation, load execution against a populated
 // store queue, store execution with WAR/WAW disambiguation, and region
-// commit. Run with -benchmem; the point of the address index, free list and
-// scratch buffers is the allocs/op column.
+// commit. Run with -benchmem; the point of the free list and scratch
+// buffers is the allocs/op column.
 
 func benchLSU(b *testing.B) (*LSU, *mem.Image, *core.Controller) {
 	b.Helper()
@@ -70,7 +70,7 @@ func BenchmarkExecLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkExecStore measures store execution (value encode, index insert,
+// BenchmarkExecStore measures store execution (value encode, candidate walk,
 // disambiguation against resident loads) followed by commit write-back.
 func BenchmarkExecStore(b *testing.B) {
 	l, _, _ := benchLSU(b)

@@ -8,19 +8,20 @@
 // back (WAW resolution).
 //
 // The implementation is organised for the simulator's hot path: live
-// entries sit on an intrusive list in allocation order (the order the old
-// slice preserved), removed entries recycle through a free list so steady
-// state allocates nothing, a per-cacheline index narrows every candidate
-// search to the lines an access touches, and the CAM/disambiguation
-// statistics — which model a hardware CAM that compares against every
-// entry — are maintained arithmetically from live-entry counters so the
-// index never changes what Fig 11/12 report.
+// entries sit on an intrusive list in allocation order, removed entries
+// recycle through a free list so steady state allocates nothing, and a
+// candidate search is one walk of that list (at most capacity entries) that
+// keeps the entries sharing a cache line with the access, already in the
+// allocation order tie-breaks depend on. The CAM/disambiguation statistics,
+// which model a hardware CAM that compares against every entry, come from
+// live-entry counters, so the walk's pruning never changes what Fig 11/12
+// report.
 package lsu
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"srvsim/internal/bitvec"
 	"srvsim/internal/core"
@@ -30,7 +31,7 @@ import (
 // NoInstance marks entries that do not belong to an SRV region.
 const NoInstance = -1
 
-// lineShift selects the cacheline granule of the address index.
+// lineShift selects the cacheline granule of the candidate search.
 const lineShift = 6
 
 // Entry is one LQ or SAQ/SDQ entry.
@@ -59,13 +60,10 @@ type Entry struct {
 	Committed bool // reached ROB head (outside regions: data written back)
 
 	// Queue plumbing (not architectural state).
-	prev, next   *Entry // live list in allocation order; next doubles as the free-list link
-	alloc        int64  // allocation stamp: position in the legacy slice order
-	gen          uint64 // candidate-collection dedup stamp
-	key          lsuKey // current byKey registration (valid when inMap)
-	inMap        bool
-	indexed      bool   // registered in the per-line address index
-	idxLo, idxHi uint64 // registered line range
+	prev, next *Entry // live list in allocation order; next doubles as the free-list link
+	alloc      int64  // allocation stamp: the entry's position in allocation order
+	key        lsuKey // current byKey registration (valid when inMap)
+	inMap      bool
 }
 
 // lsuKey identifies a region entry for the SRV-id reuse rule.
@@ -126,7 +124,7 @@ type Stats struct {
 	// entry). Vertical uses pure program order; horizontal is lane-aware.
 	// The modelled CAM compares against every valid entry of the searched
 	// queue, so these counters are derived from live-entry counts, not from
-	// the (index-pruned) candidate walks.
+	// the (line-pruned) candidate walks.
 	VertDisamb  int64
 	HorizDisamb int64
 
@@ -175,11 +173,6 @@ type LSU struct {
 	validLoadsOutside int
 	validLoadsByInst  map[int]int
 
-	// Per-cacheline address index over valid entries.
-	loadLines  map[uint64][]*Entry
-	storeLines map[uint64][]*Entry
-	queryGen   uint64
-
 	// Scratch buffers, reused across calls on the hot path.
 	cands    []*Entry
 	memAddrs []uint64
@@ -199,8 +192,6 @@ func New(capacity int, m isa.Memory, ctrl *core.Controller) *LSU {
 		instCount:         make(map[int]int),
 		validStoresByInst: make(map[int]int),
 		validLoadsByInst:  make(map[int]int),
-		loadLines:         make(map[uint64][]*Entry),
-		storeLines:        make(map[uint64][]*Entry),
 		written:           bitvec.NewSet(),
 	}
 }
@@ -211,7 +202,7 @@ func (l *LSU) Len() int { return l.live }
 // Capacity returns the configured entry capacity.
 func (l *LSU) Capacity() int { return l.capacity }
 
-// ---- live list, free list, indexes ----
+// ---- live list, free list, candidate search ----
 
 func (l *LSU) allocEntry() *Entry {
 	e := l.free
@@ -240,13 +231,12 @@ func (l *LSU) allocEntry() *Entry {
 	return e
 }
 
-// unlink removes a live entry: list, rebind map, address index and validity
-// counters, then recycles it through the free list.
+// unlink removes a live entry: list, rebind map and validity counters, then
+// recycles it through the free list.
 func (l *LSU) unlink(e *Entry) {
 	if e.Valid {
 		l.dropValid(e)
 	}
-	l.unindex(e)
 	if e.inMap {
 		if l.byKey[e.key] == e {
 			delete(l.byKey, e.key)
@@ -310,72 +300,22 @@ func (l *LSU) dropValid(e *Entry) {
 	}
 }
 
-func (l *LSU) lineTable(isStore bool) map[uint64][]*Entry {
-	if isStore {
-		return l.storeLines
-	}
-	return l.loadLines
-}
-
-// reindex registers a valid entry's current footprint in the per-line
-// index, replacing any previous registration.
-func (l *LSU) reindex(e *Entry) {
-	lo := e.Addr >> lineShift
-	hi := (e.Addr + uint64(e.footprint()) - 1) >> lineShift
-	if e.indexed && lo == e.idxLo && hi == e.idxHi {
-		return
-	}
-	l.unindex(e)
-	tbl := l.lineTable(e.IsStore)
-	for ln := lo; ln <= hi; ln++ {
-		tbl[ln] = append(tbl[ln], e)
-	}
-	e.indexed, e.idxLo, e.idxHi = true, lo, hi
-}
-
-func (l *LSU) unindex(e *Entry) {
-	if !e.indexed {
-		return
-	}
-	tbl := l.lineTable(e.IsStore)
-	for ln := e.idxLo; ln <= e.idxHi; ln++ {
-		b := tbl[ln]
-		for i, x := range b {
-			if x == e {
-				b[i] = b[len(b)-1]
-				tbl[ln] = b[:len(b)-1]
-				break
-			}
-		}
-	}
-	e.indexed = false
-}
-
-// collect gathers the valid entries of one queue whose indexed footprint
-// overlaps the line range of [addr, addr+n), deduplicated (an entry spans
-// several lines) and sorted into allocation order so that tie-breaks match
-// a front-to-back walk of the legacy entry slice. The returned slice is the
-// LSU's scratch buffer: it is valid until the next collect call.
+// collect gathers the valid entries of one queue whose footprint shares a
+// cache line with [addr, addr+n). It walks the live list, so the candidates
+// come out in allocation order and tie-breaks match a front-to-back scan of
+// the queue. The returned slice is the LSU's scratch buffer: it is valid
+// until the next collect call.
 func (l *LSU) collect(isStore bool, addr uint64, n int) []*Entry {
-	l.queryGen++
-	g := l.queryGen
-	tbl := l.lineTable(isStore)
 	out := l.cands[:0]
-	hi := (addr + uint64(n) - 1) >> lineShift
-	for ln := addr >> lineShift; ln <= hi; ln++ {
-		for _, e := range tbl[ln] {
-			if e.gen == g {
-				continue
-			}
-			e.gen = g
-			out = append(out, e)
+	lo, hi := addr>>lineShift, (addr+uint64(n)-1)>>lineShift
+	for e := l.head; e != nil; e = e.next {
+		if !e.Valid || e.IsStore != isStore {
+			continue
 		}
-	}
-	// Insertion sort: candidate sets are tiny and mostly ordered already.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].alloc < out[j-1].alloc; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+		if e.Addr>>lineShift > hi || (e.Addr+uint64(e.footprint())-1)>>lineShift < lo {
+			continue
 		}
+		out = append(out, e)
 	}
 	l.cands = out
 	return out
@@ -490,12 +430,11 @@ func (l *LSU) ExecLoad(e *Entry, kind core.Kind, addr uint64, elem int, dir isa.
 		updateMask := core.PredMask(update)
 		e.ActLanes = e.ActLanes&^updateMask | actMask&updateMask
 	}
-	l.reindex(e)
 
 	// The hardware CAM compares the issuing load against every valid SAQ
 	// entry — each comparison is one address disambiguation (Fig 11) —
 	// but only entries overlapping the footprint can forward, so the
-	// candidate walk below is pruned by the line index.
+	// candidate walk below keeps only those.
 	horiz := int64(0)
 	if e.Instance != NoInstance {
 		horiz = int64(l.validStoresByInst[e.Instance])
@@ -826,7 +765,6 @@ func (l *LSU) ExecStore(e *Entry, kind core.Kind, addr uint64, elem int, dir isa
 		panic(fmt.Sprintf("lsu: store kind %v unsupported (pc=%d seq=%d lane=%d instance=%d addr=%#x)",
 			kind, e.ID, seq, e.Lane, e.Instance, addr))
 	}
-	l.reindex(e)
 
 	var res StoreResult
 	res.SquashSeq = -1
@@ -976,7 +914,7 @@ func (l *LSU) collectStores(instance int) []*Entry {
 // byte wins, then frees every entry of the instance (paper §III-B3, §III-D4).
 func (l *LSU) CommitRegion(instance int) {
 	stores := l.collectStores(instance)
-	sort.Slice(stores, func(i, j int) bool { return storeSeqLess(stores[i], stores[j]) })
+	slices.SortFunc(stores, storeSeqCmp)
 	written := l.written
 	written.Reset()
 	for i := len(stores) - 1; i >= 0; i-- { // youngest first; skip overwritten bytes
@@ -1049,6 +987,17 @@ func storeSeqLess(a, b *Entry) bool {
 	return a.ID < b.ID
 }
 
+// storeSeqCmp is storeSeqLess as a three-way comparison for slices.SortFunc.
+func storeSeqCmp(a, b *Entry) int {
+	switch {
+	case storeSeqLess(a, b):
+		return -1
+	case storeSeqLess(b, a):
+		return 1
+	}
+	return 0
+}
+
 func clampAddr(addr uint64, e *Entry) uint64 {
 	if addr < e.Addr {
 		return e.Addr
@@ -1066,7 +1015,7 @@ func clampAddr(addr uint64, e *Entry) uint64 {
 // discarded with the instance.
 func (l *LSU) WritebackNonSpec(instance, oldestLane, uptoID int) {
 	stores := l.collectStores(instance)
-	sort.Slice(stores, func(i, j int) bool { return storeSeqLess(stores[i], stores[j]) })
+	slices.SortFunc(stores, storeSeqCmp)
 	nonSpec := func(lo int, e *Entry) bool {
 		return lo < oldestLane || (lo == oldestLane && e.ID < uptoID)
 	}

@@ -11,11 +11,11 @@ import (
 // Serialisable LSU state for the pipeline checkpoint. Entries are captured
 // in live-list (allocation) order with their allocation stamps, so entry
 // pointers held elsewhere (robEntry.lsuEntries) can be re-linked by stamp
-// after a restore. Derived structure — the per-line address index, the
-// validity counters, the per-instance counts and the rebind map — is
-// rebuilt from the captured entries rather than serialised; the rebind
-// registration itself (key + inMap) IS captured, because SetLane can leave
-// an entry carrying a key while deregistered, which a rebuild cannot infer.
+// after a restore. Derived structure — the validity counters, the
+// per-instance counts and the rebind map — is rebuilt from the captured
+// entries rather than serialised; the rebind registration itself (key +
+// inMap) IS captured, because SetLane can leave an entry carrying a key
+// while deregistered, which a rebuild cannot infer.
 
 // EntryState is one captured LSU entry.
 type EntryState struct {
@@ -80,7 +80,7 @@ func (l *LSU) State() LSUState {
 }
 
 // SetState replaces the LSU's entries with a captured state, rebuilding the
-// address index, validity counters, instance counts and rebind map.
+// validity counters, instance counts and rebind map.
 func (l *LSU) SetState(st LSUState) error {
 	if st.Capacity != l.capacity {
 		return fmt.Errorf("lsu: capacity mismatch: state %d, lsu %d", st.Capacity, l.capacity)
@@ -107,13 +107,6 @@ func (l *LSU) SetState(st LSUState) error {
 		delete(l.validLoadsByInst, k)
 	}
 	l.validStores, l.validLoadsOutside = 0, 0
-	for k := range l.loadLines {
-		delete(l.loadLines, k)
-	}
-	for k := range l.storeLines {
-		delete(l.storeLines, k)
-	}
-	l.queryGen = 0
 	l.allocSeq = st.AllocSeq
 	l.Stats = st.Stats
 
@@ -158,7 +151,6 @@ func (l *LSU) SetState(st LSUState) error {
 		}
 		if e.Valid {
 			l.noteValid(e)
-			l.reindex(e)
 		}
 	}
 	return nil

@@ -10,10 +10,25 @@ import "fmt"
 const pageBits = 12
 const pageSize = 1 << pageBits
 
+// densePages bounds the dense page table: pages below it (the first 16 MiB
+// of the address space, where the bump allocator lays out workload arrays)
+// are found by indexing; pages above it are found through the map alone.
+// Bounding the table bounds what a stray far address can cost: at most
+// 32 KiB of table per image.
+const densePages = 1 << 12
+
 // Image is a sparse, byte-addressable memory image. Pages are allocated on
 // first touch and zero-filled, so reads of untouched memory return zero.
+//
+// pages owns every page; Clone, Equal, FirstDiff and state capture read it
+// alone. dense is a lookup table in front of it for page numbers below
+// densePages, grown to the highest such page held: dense[pn] is pages[pn],
+// nil exactly when the map has no page pn. Pages enter both only through
+// insert, so an access to a page the image already holds never writes the
+// image, and concurrent readers of a shared image stay read-only.
 type Image struct {
 	pages map[uint64]*[pageSize]byte
+	dense []*[pageSize]byte
 	next  uint64 // bump allocation cursor
 }
 
@@ -35,14 +50,38 @@ func (im *Image) Alloc(n int, align uint64) uint64 {
 	return base
 }
 
+// page returns the page holding addr, allocating it on first touch.
 func (im *Image) page(addr uint64) *[pageSize]byte {
 	pn := addr >> pageBits
-	p := im.pages[pn]
-	if p == nil {
-		p = new([pageSize]byte)
-		im.pages[pn] = p
+	if pn < uint64(len(im.dense)) {
+		if p := im.dense[pn]; p != nil {
+			return p
+		}
+	} else if pn >= densePages {
+		if p := im.pages[pn]; p != nil {
+			return p
+		}
 	}
+	p := new([pageSize]byte)
+	im.insert(pn, p)
 	return p
+}
+
+// insert adds page pn to the map and, below densePages, to the dense table.
+func (im *Image) insert(pn uint64, p *[pageSize]byte) {
+	im.pages[pn] = p
+	if pn < densePages {
+		if n := int(pn) + 1; n > len(im.dense) {
+			if n > cap(im.dense) {
+				d := make([]*[pageSize]byte, n, min(2*n, densePages))
+				copy(d, im.dense)
+				im.dense = d
+			} else {
+				im.dense = im.dense[:n]
+			}
+		}
+		im.dense[pn] = p
+	}
 }
 
 // ReadBytes copies len(p) bytes starting at addr into p.
@@ -106,7 +145,7 @@ func (im *Image) Clone() *Image {
 	for pn, p := range im.pages {
 		cp := new([pageSize]byte)
 		*cp = *p
-		c.pages[pn] = cp
+		c.insert(pn, cp)
 	}
 	return c
 }

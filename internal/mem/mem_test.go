@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestImageReadWrite(t *testing.T) {
 	im := NewImage()
@@ -80,6 +83,92 @@ func TestCloneEqualFirstDiff(t *testing.T) {
 	d.WriteInt(0x90000, 8, 0)
 	if !im.Equal(d) {
 		t.Error("explicit zero page should equal absent page")
+	}
+}
+
+// TestFirstDiffConcurrent mirrors the harness's scalar and SRV variants,
+// which run in parallel against one shared reference image: each goroutine
+// clones the reference, writes its own copy, reads the reference and asks
+// FirstDiff where the two differ. None of that may write the reference, so
+// the test is meaningful under -race (make check). The reference holds a
+// page far above the dense page table as well as near ones.
+func TestFirstDiffConcurrent(t *testing.T) {
+	ref := NewImage()
+	base := ref.Alloc(4*pageSize, 64)
+	for off := 0; off < 4*pageSize; off += 8 {
+		ref.WriteInt(base+uint64(off), 8, int64(off))
+	}
+	far := uint64(densePages+7) << pageBits
+	ref.WriteInt(far, 8, 99)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			im := ref.Clone()
+			for round := 0; round < 200; round++ {
+				addr := base + uint64((round*520+g*8)%(4*pageSize))
+				if round%10 == 0 {
+					addr = far
+				}
+				want := ref.ReadInt(addr, 8)
+				im.WriteInt(addr, 8, want+1)
+				if got, diff := im.FirstDiff(ref); !diff || got != addr {
+					t.Errorf("goroutine %d round %d: FirstDiff = %#x,%v, want %#x,true", g, round, got, diff, addr)
+					return
+				}
+				im.WriteInt(addr, 8, want)
+				if got, diff := im.FirstDiff(ref); diff {
+					t.Errorf("goroutine %d round %d: restored image differs at %#x", g, round, got)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestDenseTableTracksPages checks the dense page table against the map
+// through writes, Clone and SetState: the table holds exactly the map's
+// pages below densePages, and SetState drops the pages it replaces.
+func TestDenseTableTracksPages(t *testing.T) {
+	im := NewImage()
+	im.WriteInt(0x3000, 8, 1)
+	im.WriteInt(0x7ff8, 8, 2)
+	far := uint64(densePages+1) << pageBits
+	im.WriteInt(far, 8, 3)
+	check := func(name string, im *Image) {
+		t.Helper()
+		for pn, p := range im.pages {
+			if pn >= densePages {
+				continue
+			}
+			if pn >= uint64(len(im.dense)) || im.dense[pn] != p {
+				t.Errorf("%s: page %#x missing from the dense table", name, pn)
+			}
+		}
+		for pn, p := range im.dense {
+			if p != nil && im.pages[uint64(pn)] != p {
+				t.Errorf("%s: dense table holds page %#x the map does not", name, pn)
+			}
+		}
+	}
+	check("written", im)
+	c := im.Clone()
+	check("clone", c)
+	if !c.Equal(im) || c.ReadInt(0x7ff8, 8) != 2 || c.ReadInt(far, 8) != 3 {
+		t.Fatal("clone lost contents")
+	}
+	st := im.State()
+	d := NewImage()
+	d.WriteInt(0x9000, 8, 4) // replaced by SetState
+	if err := d.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", d)
+	if !d.Equal(im) || d.ReadInt(0x9000, 8) != 0 {
+		t.Fatal("SetState must replace every page")
 	}
 }
 

@@ -43,6 +43,8 @@ func (im *Image) SetState(st ImageState) error {
 	for pn := range im.pages {
 		delete(im.pages, pn)
 	}
+	clear(im.dense[:cap(im.dense)])
+	im.dense = im.dense[:0]
 	for i := range st.Pages {
 		ps := &st.Pages[i]
 		if len(ps.Data) != pageSize {
@@ -50,7 +52,7 @@ func (im *Image) SetState(st ImageState) error {
 		}
 		p := new([pageSize]byte)
 		copy(p[:], ps.Data)
-		im.pages[ps.PN] = p
+		im.insert(ps.PN, p)
 	}
 	return nil
 }

@@ -488,6 +488,7 @@ func (p *Pipeline) executeVecLoad(e *robEntry, update, act isa.Pred, loadSlots *
 			return
 		}
 		elems := 0
+		memAddrs = p.gatherScratch[:0]
 		for lane := 0; lane < isa.NumLanes; lane++ {
 			le := e.lsuEntries[lane]
 			if !update[lane] && le.Valid {
@@ -512,6 +513,7 @@ func (p *Pipeline) executeVecLoad(e *robEntry, update, act isa.Pred, loadSlots *
 			elems = 1
 		}
 		p.scheduleMem(e, elems, p.memLatency(memAddrs), loadSlots)
+		p.gatherScratch = memAddrs[:0]
 	}
 }
 

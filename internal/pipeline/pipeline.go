@@ -68,10 +68,14 @@ type robEntry struct {
 	predTaken  bool
 	predTarget int
 
-	// Memory state.
+	// Memory state. lsuEntries is backed by lsuBuf for the common one-entry
+	// case and by lsuLanes for gathers and scatters (one entry per lane);
+	// lsuLanes keeps its capacity across freeEntry, so once the pool has
+	// warmed up, dispatch never allocates.
 	lsuEntries []*lsu.Entry
-	lsuBuf     [1]*lsu.Entry // inline backing for the common one-entry case
-	memElems   int           // port slots still to drain
+	lsuBuf     [1]*lsu.Entry
+	lsuLanes   []*lsu.Entry
+	memElems   int // port slots still to drain
 	cacheLat   int
 	granted    bool // all port slots granted; doneAt fixed
 
@@ -223,8 +227,10 @@ type Pipeline struct {
 	// region event, no allocation.
 	prof *replayProfile
 
-	// Scratch buffer for memLatency's distinct-line dedup.
-	lineScratch []uint64
+	// Scratch buffers for memLatency's distinct-line dedup and for the
+	// byte addresses a gather's lanes read from memory.
+	lineScratch   []uint64
+	gatherScratch []uint64
 
 	// Region durations: cycles from srv_start execution to region commit
 	// (including replays), capped at TimelineCap entries.
@@ -412,7 +418,9 @@ func (p *Pipeline) allocEntry() *robEntry {
 // pointers before the free, and captured prod/prevWriter pointers are gated
 // by their seq guards.
 func (p *Pipeline) freeEntry(e *robEntry) {
+	lanes := e.lsuLanes
 	*e = robEntry{}
+	e.lsuLanes = lanes
 	p.entryPool = append(p.entryPool, e)
 }
 
@@ -667,6 +675,10 @@ func (p *Pipeline) reserveLSU(e *robEntry, instance int) bool {
 		// One entry per lane (paper §III-B). In sequential fallback mode a
 		// single lane executes per pass, needing one conventional entry.
 		want = isa.NumLanes
+		if e.lsuLanes == nil {
+			e.lsuLanes = make([]*lsu.Entry, 0, isa.NumLanes)
+		}
+		e.lsuEntries = e.lsuLanes[:0]
 	}
 	seq := p.nextSeq + 1
 	for lane := 0; lane < want; lane++ {

@@ -36,11 +36,11 @@ func ProfileLoop(l *compiler.Loop, im *mem.Image) LoopProfile {
 		}
 		return g + lane
 	}
+	var accs [isa.NumLanes][]compiler.AccessRec // per-lane buffers, reused across groups
 	for g := 0; g < main; g += isa.NumLanes {
 		p.Groups++
-		accs := make([][]compiler.AccessRec, isa.NumLanes)
-		for lane := 0; lane < isa.NumLanes; lane++ {
-			accs[lane] = compiler.IterAccesses(l, iter(g, lane), im)
+		for lane := range accs {
+			accs[lane] = compiler.IterAccesses(accs[lane][:0], l, iter(g, lane), im)
 		}
 		start := 0
 		sub := int64(1)
