@@ -31,8 +31,10 @@ bench:
 # region and the FlexVec comparison), then a fresh timing report
 # (BENCH_harness.json) carrying informational cycles_per_sec deltas against
 # the previous run. Wall-clock numbers are machine-relative: eyeball them,
-# gate on `make bench-gate`. The zero-allocation step and interpreter region
-# are asserted by TestStepAllocs and TestInterpRegionAllocs in `make test`.
+# gate on `make bench-gate`. The zero-allocation step, observability hook,
+# bitvec kernels and interpreter region are asserted by TestStepAllocs,
+# TestObserveCycleAllocs, TestMask128KernelAllocs and TestInterpRegionAllocs
+# in `make test`.
 bench-speed: build
 	$(GO) test -run '^$$' -bench 'StepCheckpointOff|ObserveCycle|Pipeline' -benchmem ./internal/pipeline
 	$(GO) test -run '^$$' -bench 'ExecLoad|ExecStore|CommitRegion' -benchmem ./internal/lsu
@@ -58,12 +60,15 @@ bench-gate: build
 
 # repro-check is the reproduction oracle: the whole srvbench evaluation at
 # seed 7 must print output byte-identical to results_reference.txt, and its
-# -json form byte-identical to results_reference.json. Any byte of
+# -json form byte-identical to results_reference.json. The text form is
+# checked twice: with two workers (the evaluation's phases overlap) and with
+# one (everything runs serially, in a different order). Any byte of
 # difference fails, with the diff shown.
 repro-check: build
 	$(GO) build -o .repro-check.bin ./cmd/srvbench
-	@for form in txt json; do \
-		flags="-seed 7 -parallel 2"; [ $$form = json ] && flags="$$flags -json"; \
+	@for run in "txt 2" "json 2" "txt 1"; do \
+		set -- $$run; form=$$1; \
+		flags="-seed 7 -parallel $$2"; [ $$form = json ] && flags="$$flags -json"; \
 		./.repro-check.bin $$flags > .repro-check.out; \
 		code=$$?; \
 		if [ $$code -ne 0 ]; then echo "repro-check: srvbench $$flags exit $$code"; rm -f .repro-check.bin .repro-check.out; exit 1; fi; \
@@ -71,7 +76,7 @@ repro-check: build
 			diff results_reference.$$form .repro-check.out | head -40; \
 			echo "repro-check: srvbench $$flags differs from results_reference.$$form"; \
 			rm -f .repro-check.bin .repro-check.out; exit 1; fi; \
-		echo "repro-check: ok (byte-identical to results_reference.$$form)"; \
+		echo "repro-check: ok (srvbench $$flags byte-identical to results_reference.$$form)"; \
 	done; \
 	rm -f .repro-check.bin .repro-check.out
 

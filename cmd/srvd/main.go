@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -70,14 +69,13 @@ func main() {
 		tenantOverrides[name] = l
 		return nil
 	})
-	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "text", "log line format: text|json")
+	logFlags := obsv.RegisterObsFlags(flag.CommandLine, "log-level", "log-format")
 	pprofFlag := flag.Bool("pprof", false, "expose Go runtime profiling at /debug/pprof/ (CPU, heap, goroutine, ...)")
 	smoke := flag.Bool("smoke", false, "run the in-process smoke test (submit, wait, assert cache hit) and exit")
 	obsSmoke := flag.Bool("obs-smoke", false, "run the in-process observability smoke test (scrape prometheus, trace one job end to end) and exit")
 	flag.Parse()
 
-	logger, err := buildLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := obsv.BuildLogger(os.Stderr, logFlags.LogLevel, logFlags.LogFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "srvd:", err)
 		os.Exit(1)
@@ -165,33 +163,6 @@ func main() {
 		logger.Warn("http shutdown", "err", err)
 	}
 	logger.Info("drained")
-}
-
-// buildLogger constructs the process logger from the -log-level/-log-format
-// flags. The server adds trace_id/job fields to every job-scoped line.
-func buildLogger(w *os.File, level, format string) (*slog.Logger, error) {
-	var lv slog.Level
-	switch level {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info":
-		lv = slog.LevelInfo
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text|json)", format)
-	}
 }
 
 // withPprof optionally mounts the Go runtime profiling endpoints next to the

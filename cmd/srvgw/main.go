@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -63,8 +62,7 @@ func main() {
 		tenantOverrides[name] = l
 		return nil
 	})
-	logLevel := flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "text", "log line format: text|json")
+	logFlags := obsv.RegisterObsFlags(flag.CommandLine, "log-level", "log-format")
 	smoke := flag.Bool("smoke", false, "run the in-process fleet smoke drill (3 nodes, drain one mid-queue, assert zero lost jobs and byte-identical results) and exit")
 	tenantSmoke := flag.Bool("tenant-smoke", false, "run the in-process multi-tenant isolation drill (2 nodes, flooding vs interactive tenant, quota refusals, brownout) and exit")
 	flag.Parse()
@@ -86,7 +84,7 @@ func main() {
 		return
 	}
 
-	logger, err := buildLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := obsv.BuildLogger(os.Stderr, logFlags.LogLevel, logFlags.LogFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "srvgw:", err)
 		os.Exit(1)
@@ -144,32 +142,6 @@ func main() {
 	_ = hs.Shutdown(sctx)
 	_ = gw.Shutdown(sctx)
 	logger.Info("stopped")
-}
-
-// buildLogger mirrors srvd's flag handling.
-func buildLogger(w *os.File, level, format string) (*slog.Logger, error) {
-	var lv slog.Level
-	switch level {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info":
-		lv = slog.LevelInfo
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text|json)", format)
-	}
 }
 
 // fleetNode is one in-process srvd node of the smoke drill.

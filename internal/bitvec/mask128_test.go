@@ -150,6 +150,41 @@ func TestLaneMask(t *testing.T) {
 // The disambiguation kernels must stay allocation-free: they run once per
 // (issuing access, candidate entry) pair on the LSU hot path.
 
+var maskSink uint64
+
+func TestMask128KernelAllocs(t *testing.T) {
+	m := Range128(3, 20).Or(Range128(40, 33)).Or(Range128(100, 11))
+	kernels := []struct {
+		name string
+		fn   func()
+	}{
+		{"Window", func() {
+			for off := 0; off+8 <= FootprintBits; off += 7 {
+				maskSink += m.Window(off, 8)
+			}
+		}},
+		{"NextRun", func() {
+			for off, n := m.NextRun(0); n > 0; off, n = m.NextRun(off + n) {
+				maskSink += uint64(n)
+			}
+		}},
+		{"range", func() {
+			var acc Mask128
+			for off := 0; off+9 <= FootprintBits; off += 5 {
+				acc = acc.Or(Range128(off, 9).AndNot(m)).And(m)
+				acc.SetRange(off, 3)
+				acc.ClearRange(off+1, 2)
+			}
+			maskSink += uint64(acc.Count())
+		}},
+	}
+	for _, k := range kernels {
+		if a := testing.AllocsPerRun(100, k.fn); a != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", k.name, a)
+		}
+	}
+}
+
 func BenchmarkMask128Window(b *testing.B) {
 	b.ReportAllocs()
 	m := Range128(5, 100)

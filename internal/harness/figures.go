@@ -6,10 +6,12 @@ import (
 	"strings"
 
 	"srvsim/internal/compiler"
+	"srvsim/internal/flexvec"
 	"srvsim/internal/isa"
 	"srvsim/internal/pipeline"
 	"srvsim/internal/power"
 	"srvsim/internal/stats"
+	"srvsim/internal/trace"
 	"srvsim/internal/workloads"
 )
 
@@ -228,15 +230,40 @@ func Fig12(rs Results) Report {
 	return Report{ID: "Fig 12", Title: "Dynamic core-power change introduced by SRV (LSU = 11% of core power)", Body: body}
 }
 
+// flexRow is one benchmark's Fig 13 comparison: the aggregate instruction
+// counts and the loop-weighted SRV/FlexVec ratio.
+type flexRow struct {
+	agg   flexvec.Result
+	ratio float64
+}
+
+// runFig13 runs the FlexVec comparison of every benchmark. Benchmarks fan
+// out across the worker pool; rows land in workload order, and the error is
+// the first in workload order, as a serial loop would report it.
+func runFig13(seed int64) ([]flexRow, error) {
+	all := workloads.All()
+	rows := make([]flexRow, len(all))
+	err := parMap(len(all), func(i int) error {
+		agg, ratio, err := RunFlexVec(all[i], seed)
+		rows[i] = flexRow{agg, ratio}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 // Fig13 reports SRV dynamic instruction counts relative to FlexVec.
 func Fig13(seed int64) (Report, error) {
+	rows, err := runFig13(seed)
+	if err != nil {
+		return Report{}, err
+	}
 	t := stats.NewTable("benchmark", "SRV insts", "FlexVec insts", "SRV/FlexVec", "FlexVec subgroups/group")
 	var ratios []float64
-	for _, b := range workloads.All() {
-		agg, ratio, err := RunFlexVec(b, seed)
-		if err != nil {
-			return Report{}, err
-		}
+	for i, b := range workloads.All() {
+		agg, ratio := rows[i].agg, rows[i].ratio
 		sub := 0.0
 		if agg.Groups > 0 {
 			sub = float64(agg.Subgroups) / float64(agg.Groups)
@@ -249,12 +276,25 @@ func Fig13(seed int64) (Report, error) {
 	return Report{ID: "Fig 13", Title: "Dynamic instruction count: SRV vs FlexVec", Body: body}, nil
 }
 
+// runLimits runs the §II limit study of every benchmark, fanned out across
+// the worker pool, in workload order.
+func runLimits(seed int64) []trace.Study {
+	all := workloads.All()
+	studies := make([]trace.Study, len(all))
+	_ = parMap(len(all), func(i int) error {
+		studies[i] = RunLimit(all[i], seed)
+		return nil
+	})
+	return studies
+}
+
 // LimitStudy reports the §II motivation numbers.
 func LimitStudy(seed int64) Report {
+	studies := runLimits(seed)
 	t := stats.NewTable("benchmark", "potential (all inner loops)", "potential (safe only)", "unknown-dep frac of unvectorised")
 	var all, safe, unk []float64
-	for _, b := range workloads.All() {
-		s := RunLimit(b, seed)
+	for i, b := range workloads.All() {
+		s := studies[i]
 		t.Row(b.Name, s.PotentialAll, s.PotentialSafeOnly, s.UnknownFrac)
 		all = append(all, s.PotentialAll)
 		safe = append(safe, s.PotentialSafeOnly)
@@ -325,38 +365,50 @@ func RegionProfile(rs Results) Report {
 // issue width, IQ size and LSQ size are varied one at a time around the
 // Table I configuration on a representative loop. The IQ column explains
 // the paper's speedup source (scalar code starves in a small window; the
-// vector code does not), the LSQ column the §III-D7 fallback cliff.
+// vector code does not), the LSQ column the §III-D7 fallback cliff. The
+// rows fan out across the worker pool and fill the table in row order.
+// The three rows at the Table I configuration stay separate runs, so
+// every pass runs the same leaf simulations and sims/s stays comparable.
 func Sweep(seed int64) (Report, error) {
 	bm, ok := workloads.ByName("is")
 	if !ok {
 		return Report{}, fmt.Errorf("harness: benchmark is not defined")
 	}
 	ls := bm.Loops[0]
-	t := stats.NewTable("parameter", "value", "scalar cycles", "SRV cycles", "speedup", "fallbacks")
-	row := func(param string, value int, mutate func(*pipeline.Config)) error {
-		cfg := cfg()
-		mutate(&cfg)
-		lr, err := RunLoop(bm.Name, ls, seed, WithConfig(cfg))
-		if err != nil {
-			return fmt.Errorf("%s=%d: %w", param, value, err)
-		}
-		t.Row(param, value, lr.ScalarCycles, lr.SRVCycles, lr.Speedup, lr.Fallbacks)
-		return nil
+	type sweepRow struct {
+		param  string
+		value  int
+		mutate func(*pipeline.Config)
 	}
+	var rows []sweepRow
 	for _, w := range []int{4, 8, 16} {
-		if err := row("width", w, func(c *pipeline.Config) { c.Width = w }); err != nil {
-			return Report{}, err
-		}
+		rows = append(rows, sweepRow{"width", w, func(c *pipeline.Config) { c.Width = w }})
 	}
 	for _, iq := range []int{16, 32, 64, 128} {
-		if err := row("IQ", iq, func(c *pipeline.Config) { c.IQSize = iq }); err != nil {
-			return Report{}, err
-		}
+		rows = append(rows, sweepRow{"IQ", iq, func(c *pipeline.Config) { c.IQSize = iq }})
 	}
 	for _, lsq := range []int{24, 48, 64, 128} {
-		if err := row("LSQ", lsq, func(c *pipeline.Config) { c.LSQSize = lsq }); err != nil {
-			return Report{}, err
+		rows = append(rows, sweepRow{"LSQ", lsq, func(c *pipeline.Config) { c.LSQSize = lsq }})
+	}
+	results := make([]LoopResult, len(rows))
+	err := parMap(len(rows), func(i int) error {
+		r := rows[i]
+		c := cfg()
+		r.mutate(&c)
+		lr, err := RunLoop(bm.Name, ls, seed, WithConfig(c))
+		if err != nil {
+			return fmt.Errorf("%s=%d: %w", r.param, r.value, err)
 		}
+		results[i] = lr
+		return nil
+	})
+	if err != nil {
+		return Report{}, err
+	}
+	t := stats.NewTable("parameter", "value", "scalar cycles", "SRV cycles", "speedup", "fallbacks")
+	for i, r := range rows {
+		lr := results[i]
+		t.Row(r.param, r.value, lr.ScalarCycles, lr.SRVCycles, lr.Speedup, lr.Fallbacks)
 	}
 	body := t.String() + "\n(one parameter varied at a time around Table I on is.rank; the\nfallback column counts extra sequential passes after LSU overflow.)\n"
 	return Report{ID: "Sweep", Title: "Structural sensitivity of the SRV speedup", Body: body}, nil
@@ -393,25 +445,51 @@ func barsFor(rs Results, f func(BenchResult) float64, unit string) string {
 	return stats.Bars(labels, vals, unit)
 }
 
-// RunAll regenerates every table and figure, writing them to w.
+// overlap runs independent phases of the evaluation as one parMap fan-out,
+// in the order given; list the longest first so the shorter ones fill the
+// remaining workers. Each phase keeps its own result and error, so every
+// phase runs whatever the others do; overlap itself fails only on a panic
+// that escaped a phase.
+func overlap(phases ...func()) error {
+	return parMap(len(phases), func(i int) error {
+		phases[i]()
+		return nil
+	})
+}
+
+// RunAll regenerates every table and figure, writing them to w. Its phases
+// (Measure, Fig 13, the limit study and the sweep) run concurrently; the
+// reports are written once all have finished, in a fixed order. A fatal
+// phase error ends the output where the serial order would have reached
+// that phase, and the first failing phase in report order is returned.
 func RunAll(seed int64, w io.Writer) error {
-	fmt.Fprint(w, Table1())
-	fmt.Fprint(w, LimitStudy(seed))
-	rs, err := Measure(seed)
-	if err != nil {
+	var (
+		limit, f13, sweep         Report
+		rs                        Results
+		measureErr, f13Err, swErr error
+	)
+	if err := overlap(
+		func() { sweep, swErr = Sweep(seed) },
+		func() { rs, measureErr = Measure(seed) },
+		func() { f13, f13Err = Fig13(seed) },
+		func() { limit = LimitStudy(seed) },
+	); err != nil {
 		return err
+	}
+	fmt.Fprint(w, Table1())
+	fmt.Fprint(w, limit)
+	if measureErr != nil {
+		return measureErr
 	}
 	for _, rep := range []Report{Fig6(rs), Fig7(rs), Fig8(rs), Fig9(rs), Fig10(rs), Fig11(rs), Fig12(rs), CostModelReport(rs), RegionProfile(rs)} {
 		fmt.Fprint(w, rep)
 	}
-	f13, err := Fig13(seed)
-	if err != nil {
-		return err
+	if f13Err != nil {
+		return f13Err
 	}
 	fmt.Fprint(w, f13)
-	sweep, err := Sweep(seed)
-	if err != nil {
-		return err
+	if swErr != nil {
+		return swErr
 	}
 	fmt.Fprint(w, sweep)
 	if fails := rs.Failures(); len(fails) > 0 {

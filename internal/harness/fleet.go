@@ -85,9 +85,11 @@ func fleetRecord(a attribution, start time.Time, err error) {
 func fleetChaos() { fleet.chaosInjected.Add(1) }
 
 // FleetSnapshot is a point-in-time view of the fleet counters plus derived
-// throughput figures. Utilization compares summed busy time against the
-// elapsed wall-clock times the worker bound — 1.0 means every worker slot was
-// running a simulation the whole time.
+// throughput figures. InFlight is summed busy time over elapsed wall-clock:
+// the mean number of leaf simulations running at once. It is not bounded by
+// Workers — every parMap call (benchmarks, loops, variants, evaluation
+// phases) sizes its own goroutine set, so nested fan-outs keep more
+// simulations in flight than there are workers, sharing GOMAXPROCS CPUs.
 type FleetSnapshot struct {
 	Simulations   int64   `json:"simulations"`
 	Failures      int64   `json:"failures"`
@@ -97,7 +99,7 @@ type FleetSnapshot struct {
 	BusyMS        float64 `json:"busy_ms"`
 	ScalarMS      float64 `json:"scalar_ms"`
 	SRVMS         float64 `json:"srv_ms"`
-	Utilization   float64 `json:"utilization"`
+	InFlight      float64 `json:"in_flight"`
 	SimsPerSec    float64 `json:"sims_per_sec"`
 }
 
@@ -116,7 +118,7 @@ func SnapshotFleet() FleetSnapshot {
 	if first > 0 && last > first {
 		wallNS := float64(last - first)
 		s.WallMS = wallNS / 1e6
-		s.Utilization = float64(fleet.busyNS.Load()) / (wallNS * float64(s.Workers))
+		s.InFlight = float64(fleet.busyNS.Load()) / wallNS
 		s.SimsPerSec = float64(s.Simulations) / (wallNS / 1e9)
 	}
 	return s
@@ -127,8 +129,8 @@ func (s FleetSnapshot) String() string {
 	if s.Simulations == 0 {
 		return "fleet: no simulations recorded\n"
 	}
-	out := fmt.Sprintf("fleet: %d simulations in %.1fs wall (%.1f sims/sec), %d workers %.0f%% utilized\n",
-		s.Simulations, s.WallMS/1e3, s.SimsPerSec, s.Workers, s.Utilization*100)
+	out := fmt.Sprintf("fleet: %d simulations in %.1fs wall (%.1f sims/sec), %d workers, %.1f simulations in flight on average\n",
+		s.Simulations, s.WallMS/1e3, s.SimsPerSec, s.Workers, s.InFlight)
 	out += fmt.Sprintf("fleet: busy %.1fs (scalar %.1fs, srv %.1fs)", s.BusyMS/1e3, s.ScalarMS/1e3, s.SRVMS/1e3)
 	if s.Failures > 0 || s.ChaosInjected > 0 {
 		out += fmt.Sprintf(", %d failed (%d chaos-injected)", s.Failures, s.ChaosInjected)

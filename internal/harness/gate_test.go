@@ -178,7 +178,28 @@ func TestFleetAccounting(t *testing.T) {
 	if s.BusyMS <= 0 || s.ScalarMS <= 0 || s.SRVMS <= 0 {
 		t.Errorf("busy time not recorded: %+v", s)
 	}
-	if !strings.Contains(s.String(), "2 simulations") {
+	if !strings.Contains(s.String(), "2 simulations") || !strings.Contains(s.String(), "in flight") {
 		t.Errorf("summary: %s", s)
+	}
+	// The mean in flight is busy over wall time: positive once anything
+	// ran, and never more than the simulations that ran at all.
+	if s.InFlight <= 0 || s.InFlight > float64(s.Simulations) {
+		t.Errorf("in flight = %.3f, want in (0, %d]", s.InFlight, s.Simulations)
+	}
+}
+
+// TestLoadCommittedTimings: the committed timing reports (the bench-gate
+// baseline and the last timing run) must stay readable as the report
+// schema grows or renames derived fleet fields.
+func TestLoadCommittedTimings(t *testing.T) {
+	for _, name := range []string{"BENCH_baseline.json", "BENCH_harness.json"} {
+		rep, err := LoadTimings(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if rep.Fleet.Simulations == 0 {
+			t.Errorf("%s: fleet simulations missing", name)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"srvsim/internal/power"
 	"srvsim/internal/stats"
+	"srvsim/internal/trace"
 	"srvsim/internal/workloads"
 )
 
@@ -84,11 +85,28 @@ type JSONLimitEntry struct {
 	UnknownFrac   float64 `json:"unknown_fraction"`
 }
 
-// WriteJSON runs the full evaluation and writes the structured report.
+// WriteJSON runs the full evaluation and writes the structured report. Like
+// RunAll it overlaps its phases (Measure, the FlexVec comparison and the
+// limit study) and reports the first failing phase in that order.
 func WriteJSON(seed int64, w io.Writer) error {
-	rs, err := Measure(seed)
-	if err != nil {
+	var (
+		rs                  Results
+		flex                []flexRow
+		limits              []trace.Study
+		measureErr, flexErr error
+	)
+	if err := overlap(
+		func() { rs, measureErr = Measure(seed) },
+		func() { flex, flexErr = runFig13(seed) },
+		func() { limits = runLimits(seed) },
+	); err != nil {
 		return err
+	}
+	if measureErr != nil {
+		return measureErr
+	}
+	if flexErr != nil {
+		return flexErr
 	}
 	rep := JSONReport{SchemaVersion: SchemaVersion, CodeVersion: CodeVersion, Seed: seed}
 	m := power.Default()
@@ -133,13 +151,9 @@ func WriteJSON(seed int64, w io.Writer) error {
 	rep.Summary.LoopsAtMost10Acc = h.CumulativeAtMost(10)
 
 	var ratios []float64
-	for _, b := range workloads.All() {
-		_, ratio, err := RunFlexVec(b, seed)
-		if err != nil {
-			return err
-		}
-		ratios = append(ratios, ratio)
-		s := RunLimit(b, seed)
+	for i, b := range workloads.All() {
+		ratios = append(ratios, flex[i].ratio)
+		s := limits[i]
 		rep.LimitStudy = append(rep.LimitStudy, JSONLimitEntry{
 			Name: b.Name, PotentialAll: s.PotentialAll,
 			PotentialSafe: s.PotentialSafeOnly, UnknownFrac: s.UnknownFrac,

@@ -44,8 +44,8 @@ func currentSpanRecorder() (*obsv.SpanRecorder, obsv.SpanContext) {
 
 // FleetRegistry builds an obsv view over the fleet counters, so srvbench can
 // export them with -metrics-out in the same registry JSON format srvsim and
-// srvd use. Derived figures (utilization, throughput) come from the same
-// snapshot logic as the text summary.
+// srvd use. Derived figures (simulations in flight, throughput) come from
+// the same snapshot logic as the text summary.
 func FleetRegistry() *obsv.Registry {
 	r := obsv.NewRegistry()
 	s := r.Section("fleet")
@@ -58,8 +58,8 @@ func FleetRegistry() *obsv.Registry {
 		func() float64 { return float64(fleet.scalarNS.Load()) / 1e6 })
 	s.Gauge("fleet.srv_ms", "busy time attributed to SRV variants, milliseconds", "%.1f",
 		func() float64 { return float64(fleet.srvNS.Load()) / 1e6 })
-	s.Gauge("fleet.utilization", "busy time over elapsed wall-clock times the worker bound", "%.3f",
-		func() float64 { return SnapshotFleet().Utilization })
+	s.Gauge("fleet.in_flight", "mean leaf simulations in flight: summed busy time over elapsed wall-clock", "%.3f",
+		func() float64 { return SnapshotFleet().InFlight })
 	s.Gauge("fleet.sims_per_sec", "leaf simulations per second of wall-clock", "%.2f",
 		func() float64 { return SnapshotFleet().SimsPerSec })
 	return r

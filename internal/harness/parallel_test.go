@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"srvsim/internal/workloads"
@@ -93,3 +94,68 @@ func TestParMapOrderAndErrors(t *testing.T) {
 type errAt int
 
 func (e errAt) Error() string { return "failure at index " + string(rune('0'+int(e))) }
+
+// TestPhaseReportsParallelMatchSerial pins the fan-out inside RunAll's
+// phases: the sweep's rows and the per-benchmark Fig 13 and limit-study
+// runs land in row and workload order, so each report is byte-identical
+// with one worker and with several.
+func TestPhaseReportsParallelMatchSerial(t *testing.T) {
+	const seed = 7
+	prev := Parallelism()
+	defer SetParallelism(prev)
+
+	render := func(workers int) []string {
+		SetParallelism(workers)
+		sweep, err := Sweep(seed)
+		if err != nil {
+			t.Fatalf("workers=%d: sweep: %v", workers, err)
+		}
+		f13, err := Fig13(seed)
+		if err != nil {
+			t.Fatalf("workers=%d: fig 13: %v", workers, err)
+		}
+		return []string{sweep.String(), f13.String(), LimitStudy(seed).String()}
+	}
+	serial, parallel := render(1), render(8)
+	for i, name := range []string{"Sweep", "Fig 13", "limit study"} {
+		if serial[i] != parallel[i] {
+			t.Errorf("%s differs:\nserial:\n%s\nparallel:\n%s", name, serial[i], parallel[i])
+		}
+	}
+}
+
+// TestRunAllFailFastOrder pins RunAll's fatal-error contract under the
+// phase overlap: with every simulation chaos-faulted and fail-fast on,
+// Measure and the sweep both fail, and at any parallelism RunAll writes
+// exactly the reports that precede Measure (Table I and the limit study)
+// and returns Measure's error, the first failing phase in report order.
+func TestRunAllFailFastOrder(t *testing.T) {
+	resetKnobs(t)
+	const seed = 7
+	SetFailFast(true)
+	SetChaos(1, 1)
+	want := Table1().String() + LimitStudy(seed).String()
+	first := workloads.All()[0]
+
+	var errs []string
+	for _, workers := range []int{1, 8} {
+		SetParallelism(workers)
+		var buf strings.Builder
+		err := RunAll(seed, &buf)
+		if err == nil {
+			t.Fatalf("workers=%d: RunAll returned nil under fail-fast chaos", workers)
+		}
+		if se := AsSimError(err); se.Bench != first.Name || se.Loop != first.Loops[0].Shape.Name || se.Variant != "scalar" {
+			t.Errorf("workers=%d: error %v, want the first Measure simulation's (%s/%s/scalar)",
+				workers, err, first.Name, first.Loops[0].Shape.Name)
+		}
+		if buf.String() != want {
+			t.Errorf("workers=%d: RunAll wrote %d bytes, want Table I and the limit study (%d bytes):\n%s",
+				workers, buf.Len(), len(want), buf.String())
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Errorf("error differs across parallelism:\n1: %s\n8: %s", errs[0], errs[1])
+	}
+}

@@ -3,13 +3,15 @@ package obsv
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"strings"
 )
 
 // Unified observability CLI flags. Every command that exports traces,
-// metrics, samples, or replay profiles registers its flags from this one
-// table, so names and help text cannot drift between srvsim and srvbench
-// ("-" as an output path means stdout everywhere).
+// metrics, samples, or replay profiles, or writes a structured log,
+// registers its flags from this one table, so names and help text cannot
+// drift between commands ("-" as an output path means stdout everywhere).
 
 // ObsFlags receives the parsed values of the shared observability flags.
 // Fields for flags a command did not register stay at their zero value.
@@ -19,6 +21,8 @@ type ObsFlags struct {
 	SampleOut     string
 	SampleEvery   int64
 	ReplayProfile bool
+	LogLevel      string
+	LogFormat     string
 }
 
 // obsFlagTable is the single source of truth for the shared flag names and
@@ -37,6 +41,10 @@ var obsFlagTable = []struct {
 		func(fs *flag.FlagSet, o *ObsFlags, n, h string) { fs.Int64Var(&o.SampleEvery, n, 0, h) }},
 	{"replay-profile", "attribute replay rounds, squashed lanes and wasted cycles to static instructions and print the per-PC profile",
 		func(fs *flag.FlagSet, o *ObsFlags, n, h string) { fs.BoolVar(&o.ReplayProfile, n, false, h) }},
+	{"log-level", "minimum log level: debug|info|warn|error",
+		func(fs *flag.FlagSet, o *ObsFlags, n, h string) { fs.StringVar(&o.LogLevel, n, "info", h) }},
+	{"log-format", "log line format: text|json",
+		func(fs *flag.FlagSet, o *ObsFlags, n, h string) { fs.StringVar(&o.LogFormat, n, "text", h) }},
 }
 
 // RegisterObsFlags registers the named flags from the shared table on fs and
@@ -59,6 +67,34 @@ func RegisterObsFlags(fs *flag.FlagSet, names ...string) *ObsFlags {
 		}
 	}
 	return o
+}
+
+// BuildLogger constructs a process logger writing to w from the -log-level
+// and -log-format flag values; an unknown value is an error naming the
+// flag and the accepted values.
+func BuildLogger(w io.Writer, level, format string) (*slog.Logger, error) {
+	var lv slog.Level
+	switch level {
+	case "debug":
+		lv = slog.LevelDebug
+	case "info":
+		lv = slog.LevelInfo
+	case "warn":
+		lv = slog.LevelWarn
+	case "error":
+		lv = slog.LevelError
+	default:
+		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
+	}
+	opts := &slog.HandlerOptions{Level: lv}
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
+	default:
+		return nil, fmt.Errorf("unknown -log-format %q (want text|json)", format)
+	}
 }
 
 // ObsFlagDocs renders the shared table (or the named subset) as markdown

@@ -175,6 +175,55 @@ func TestRegisterObsFlags(t *testing.T) {
 	RegisterObsFlags(fs, "no-such-flag")
 }
 
+func TestBuildLogger(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	o := RegisterObsFlags(fs, "log-level", "log-format")
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if o.LogLevel != "info" || o.LogFormat != "text" {
+		t.Fatalf("log flag defaults: %+v", o)
+	}
+	cases := []struct {
+		level, format string
+		wantErr       string // substring of the error; "" = must succeed
+		wantPrefix    string // prefix of the line logged at Warn
+		debugShown    bool
+	}{
+		{level: "debug", format: "text", wantPrefix: "time=", debugShown: true},
+		{level: "info", format: "json", wantPrefix: "{"},
+		{level: "warn", format: "text", wantPrefix: "time="},
+		{level: "error", format: "json"},
+		{level: "verbose", format: "text", wantErr: `unknown -log-level "verbose" (want debug|info|warn|error)`},
+		{level: "", format: "json", wantErr: `unknown -log-level ""`},
+		{level: "info", format: "xml", wantErr: `unknown -log-format "xml" (want text|json)`},
+		{level: "INFO", format: "text", wantErr: "-log-level"},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		lg, err := BuildLogger(&buf, c.level, c.format)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("BuildLogger(%q, %q) error = %v, want one containing %q", c.level, c.format, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("BuildLogger(%q, %q): %v", c.level, c.format, err)
+			continue
+		}
+		lg.Debug("d")
+		if got := buf.Len() > 0; got != c.debugShown {
+			t.Errorf("level %q: debug line written = %v, want %v", c.level, got, c.debugShown)
+		}
+		buf.Reset()
+		lg.Warn("w")
+		if !strings.HasPrefix(buf.String(), c.wantPrefix) || (c.wantPrefix == "") != (buf.Len() == 0) {
+			t.Errorf("%s/%s: warn line %q, want prefix %q", c.level, c.format, buf.String(), c.wantPrefix)
+		}
+	}
+}
+
 func TestObsFlagDocsSubset(t *testing.T) {
 	docs := ObsFlagDocs("trace-out")
 	if !strings.Contains(docs, "`-trace-out`") || strings.Contains(docs, "metrics-out") {

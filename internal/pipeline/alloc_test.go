@@ -134,6 +134,41 @@ func TestStepAllocs(t *testing.T) {
 	}
 }
 
+// observeBatch advances the cycle counter and runs the observability hook
+// n times, resetting the sampler whenever it holds rowCap rows.
+func observeBatch(p *Pipeline, n, rowCap int) {
+	for i := 0; i < n; i++ {
+		if p.sampler.Len() >= rowCap {
+			p.sampler.Reset()
+		}
+		p.cycle++
+		p.observeCycle()
+	}
+}
+
+// TestObserveCycleAllocs: with sampling and tracing at their densest, the
+// per-cycle hook allocates only while the tracer's counter slab and the
+// sampler's row slabs grow. Once the tracer has hit its event cap and the
+// sampler has been Reset (keeping its capacity), it allocates nothing.
+func TestObserveCycleAllocs(t *testing.T) {
+	const traceCap, rowCap = 256, 4096
+	p := stalledPipeline()
+	p.EnableSampling(1)
+	tr := obsv.NewTracer()
+	tr.SetCap(traceCap)
+	p.AttachTracer(tr)
+	// Two counter events per traceCounterInterval cycles fill the cap; two
+	// sampler fills guarantee a Reset.
+	observeBatch(p, traceCap*traceCounterInterval/2+2*rowCap, rowCap)
+	if tr.Dropped() == 0 {
+		t.Fatal("warm-up did not reach the tracer's event cap")
+	}
+	a := testing.AllocsPerRun(10, func() { observeBatch(p, 1000, rowCap) })
+	if a != 0 {
+		t.Errorf("%v allocs per 1000 observed cycles, want 0", a)
+	}
+}
+
 // BenchmarkStepCheckpointOff guards the default-path contract: with no sink
 // installed and CheckpointEvery zero, the per-cycle step stays allocation-
 // free — checkpointing support costs one predictable branch at the poll
@@ -158,12 +193,6 @@ func BenchmarkObserveCycle(b *testing.B) {
 	p.AttachTracer(tr)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if p.sampler.Len() >= 4096 {
-			p.sampler.Reset()
-		}
-		p.cycle++
-		p.observeCycle()
-	}
+	observeBatch(p, b.N, 4096)
 	benchSink = p.cycle
 }
